@@ -19,6 +19,7 @@ from .census import (
     count_two_optimal_exact,
     is_two_optimal,
     transition_stats,
+    two_optimal_tours,
 )
 from .chords import (
     ChordDisjointSet,
@@ -37,6 +38,7 @@ from .core import (
     constant_instance,
     enumerate_canonical_tours,
     enumerate_two_changes,
+    move_quadruples,
     pair_count,
     pair_index,
     random_instance,
@@ -62,7 +64,6 @@ from .orthants import (
 from .polytopes import (
     Polytope,
     build_two_opt_polytope,
-    estimate_prob_two_optimal,
     estimate_volume_rejection,
     estimate_volume_telescoping,
 )

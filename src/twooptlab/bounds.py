@@ -17,7 +17,7 @@ import numpy as np
 from .chords import ChordDisjointSet, build_chord_disjoint_set, log_product_bound
 from .orthants import MCEstimate
 from .polytopes import build_two_opt_polytope, estimate_volume_rejection
-from .rng import split_budget, worker_streams
+from .rng import mc_batches
 
 # sqrt(pi/2) * exp(-1/(9 pi)): base of the per-tour probability bound.
 BOUND_CONSTANT = math.sqrt(math.pi / 2.0) * math.exp(-1.0 / (9.0 * math.pi))
@@ -54,16 +54,11 @@ def estimate_interaction_factor(
     a, _ = interaction_matrix(s)
     total = 0.0
     total_sq = 0.0
-    for stream, budget in zip(worker_streams(seed, f"interaction-factor:{s.n}", workers),
-                              split_budget(samples, workers)):
-        done = 0
-        while done < budget:
-            m = min(batch, budget - done)
-            x = np.abs(stream.standard_normal((m, a.shape[0])))
-            vals = interaction_values(a, x)
-            total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
-            done += m
+    for stream, m in mc_batches(seed, f"interaction-factor:{s.n}", samples, workers, batch):
+        x = np.abs(stream.standard_normal((m, a.shape[0])))
+        vals = interaction_values(a, x)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return MCEstimate(estimate=mean, stderr=math.sqrt(var / samples), samples=samples)

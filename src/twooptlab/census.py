@@ -9,17 +9,16 @@ routines are the ground-truth oracle for the probabilistic estimators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (
     ENUMERATION_CAP,
     Instance,
     Tour,
-    apply_two_change,
     canonicalize,
     enumerate_canonical_tours,
-    enumerate_two_changes,
+    move_quadruples,
     tour_length,
-    two_change_delta,
 )
 from .errors import CapExceededError
 from .rng import substream
@@ -27,45 +26,39 @@ from .rng import substream
 GRAPH_CAP = 9
 
 
-def _move_positions(n: int) -> list[tuple[int, int, int, int]]:
-    """(i, i+1, j, j+1 mod n) per move, aligned with enumerate_two_changes."""
-    return [(m.i, m.i + 1, m.j, (m.j + 1) % n) for m in enumerate_two_changes(n)]
-
-
 def is_two_optimal(inst: Instance, tour: Tour) -> bool:
     """True iff no 2-change strictly improves the tour."""
     w = inst.weight_matrix()
     o = tour.order
     zero = 0 if inst.mode == "exact" else 0.0
-    for i, i1, j, j1 in _move_positions(inst.n):
-        a, b, c, d = o[i], o[i1], o[j], o[j1]
-        if w[a][b] + w[c][d] - w[a][c] - w[b][d] > zero:
-            return False
-    return True
+    return not any(
+        w[o[a]][o[b]] + w[o[c]][o[d]] - w[o[a]][o[c]] - w[o[b]][o[d]] > zero
+        for a, b, c, d in move_quadruples(inst.n)
+    )
 
 
-def count_two_optimal_exact(inst: Instance, cap: int = ENUMERATION_CAP, workers: int = 1) -> int:
-    """Exact number of 2-optimal canonical tours.
+def two_optimal_tours(inst: Instance, cap: int = ENUMERATION_CAP) -> Iterator[Tour]:
+    """Yield the 2-optimal canonical tours in lexicographic order.
 
-    The count is a sum of per-tour indicators, so it is independent of how
-    the tour range is partitioned across workers.
+    The weight matrix is built once, and each tour is dropped at its first
+    strictly improving move.  Every exact scanner goes through here.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    n = inst.n
     w = inst.weight_matrix()
-    moves = _move_positions(n)
+    moves = move_quadruples(inst.n)
     zero = 0 if inst.mode == "exact" else 0.0
-    count = 0
-    for tour in enumerate_canonical_tours(n, cap=cap):
+    for tour in enumerate_canonical_tours(inst.n, cap=cap):
         o = tour.order
         for i, i1, j, j1 in moves:
             a, b, c, d = o[i], o[i1], o[j], o[j1]
             if w[a][b] + w[c][d] - w[a][c] - w[b][d] > zero:
                 break
         else:
-            count += 1
-    return count
+            yield tour
+
+
+def count_two_optimal_exact(inst: Instance, cap: int = ENUMERATION_CAP) -> int:
+    """Exact number of 2-optimal canonical tours."""
+    return sum(1 for _ in two_optimal_tours(inst, cap=cap))
 
 
 @dataclass(frozen=True)
@@ -100,14 +93,18 @@ def build_transition_graph(inst: Instance, cap: int = GRAPH_CAP) -> TransitionGr
     nodes = tuple(enumerate_canonical_tours(n, cap=GRAPH_CAP))
     index = {t.order: k for k, t in enumerate(nodes)}
     lengths = tuple(tour_length(inst, t) for t in nodes)
-    moves = enumerate_two_changes(n)
+    w = inst.weight_matrix()
+    moves = move_quadruples(n)
     zero = 0 if inst.mode == "exact" else 0.0
     arcs = []
     for k, tour in enumerate(nodes):
-        for move in moves:
-            if two_change_delta(inst, tour, move) > zero:
-                target = index[canonicalize(apply_two_change(tour, move).order)]
-                arcs.append((k, target))
+        o = tour.order
+        for i, i1, j, j1 in moves:
+            a, b, c, d = o[i], o[i1], o[j], o[j1]
+            if w[a][b] + w[c][d] - w[a][c] - w[b][d] > zero:
+                # Reverse positions i+1..j; slice to j + 1, since j1 wraps to 0.
+                target = o[:i1] + o[i1 : j + 1][::-1] + o[j + 1 :]
+                arcs.append((k, index[canonicalize(target)]))
     arcs.sort()
     return TransitionGraph(n=n, nodes=nodes, lengths=lengths, arcs=tuple(arcs))
 

@@ -88,6 +88,8 @@ def _emit_csv(manifest: dict, header: list[str], rows: list[list], out: str | No
 def _load_instance(args: argparse.Namespace) -> Instance:
     if getattr(args, "instance", None):
         return Instance.from_json_dict(json.loads(Path(args.instance).read_text()))
+    if args.n is None:
+        raise ValueError("need --n or --instance")
     if getattr(args, "equal_weights", False):
         return constant_instance(args.n, value=1)
     return random_instance(args.n, args.seed)
@@ -109,7 +111,7 @@ def cmd_gen(args) -> int:
 
 def cmd_census(args) -> int:
     inst = _load_instance(args)
-    count = count_two_optimal_exact(inst, cap=_census_cap(args), workers=args.workers)
+    count = count_two_optimal_exact(inst, cap=_census_cap(args))
     print(count)
     if args.out:
         _emit_json(

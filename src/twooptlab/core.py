@@ -101,13 +101,20 @@ class Instance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Instance":
         mode = data["mode"]
-        cast = int if mode == "exact" else float
+        cast = _integral if mode == "exact" else float
         return cls(
             n=int(data["n"]),
             weights=tuple(cast(w) for w in data["weights"]),
             mode=mode,
             label=str(data.get("label", "")),
         )
+
+
+def _integral(w) -> int:
+    """int(w) for an integral JSON number; refuses to truncate 1.7 to 1."""
+    if isinstance(w, float) and not w.is_integer():
+        raise ValueError(f"exact mode requires integer weights, got {w!r}")
+    return int(w)
 
 
 def random_instance(n: int, seed: int) -> Instance:
@@ -197,6 +204,15 @@ def enumerate_two_changes(n: int) -> list[TwoChange]:
                 continue
             moves.append(TwoChange(i, j))
     return moves
+
+
+def move_quadruples(n: int) -> list[tuple[int, int, int, int]]:
+    """Tour positions (a, b, c, d) = (i, i+1, j, j+1 mod n) per move.
+
+    Aligned with enumerate_two_changes.  On a tour o the move removes the
+    edges (o[a], o[b]) and (o[c], o[d]) and adds (o[a], o[c]) and (o[b], o[d]).
+    """
+    return [(m.i, m.i + 1, m.j, (m.j + 1) % n) for m in enumerate_two_changes(n)]
 
 
 def move_edges(tour: Tour, move: TwoChange):

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import NotPositiveDefiniteError
-from .rng import split_budget, substream, worker_streams
+from .rng import mc_batches, split_budget, worker_streams
 
 REJECTION_DIM_CAP = 8
 MIN_ACCEPT_RATE = 1e-4
@@ -108,14 +108,9 @@ def orthant_prob_mc(spec: CovarianceSpec, samples: int, seed: int, workers: int 
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hits = 0
-    for stream, budget in zip(worker_streams(seed, "orthant-mc", workers),
-                              split_budget(samples, workers)):
-        done = 0
-        while done < budget:
-            m = min(batch, budget - done)
-            z = stream.standard_normal((m, spec.d)) @ spec.chol_covariance.T
-            hits += int(np.all(z > 0.0, axis=1).sum())
-            done += m
+    for stream, m in mc_batches(seed, "orthant-mc", samples, workers, batch):
+        z = stream.standard_normal((m, spec.d)) @ spec.chol_covariance.T
+        hits += int(np.all(z > 0.0, axis=1).sum())
     est = hits / samples
     return MCEstimate(est, math.sqrt(est * (1.0 - est) / samples), samples)
 

@@ -3,11 +3,13 @@
 Fixing the reference tour (0, 1, ..., n-1), the event "this tour is
 2-optimal under i.i.d. uniform weights" is the event that the weight vector
 lands in the polytope cut out of the unit box by one inequality per
-2-change: removed weights minus added weights <= 0.  The volume of that
-polytope therefore equals the probability that a fixed tour is 2-optimal,
-and two estimators of it are kept deliberately separate: plain rejection
-sampling, and a telescoped product of conditional acceptance rates sampled
-by hit-and-run.
+2-change: removed weights minus added weights <= 0.  The rows come from the
+shared move table ``core.move_quadruples``, the same table the exact census
+scans.  The volume of the polytope equals the probability that a fixed tour
+is 2-optimal, so the census mean over random instances divided by the tour
+count is an independent check on it.  Two estimators are kept: plain
+rejection sampling, and a telescoped product of conditional acceptance rates
+sampled by hit-and-run.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import enumerate_two_changes, pair_count, pair_index
-from .rng import split_budget, substream, worker_streams
+from .core import move_quadruples, pair_count, pair_index
+from .rng import mc_batches, substream
 
 
 @dataclass(frozen=True)
@@ -48,19 +50,18 @@ class Polytope:
 
 def build_two_opt_polytope(n: int) -> Polytope:
     """One row per 2-change on the reference tour; n(n-3)/2 rows in total."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    rows = []
-    for move in enumerate_two_changes(n):
-        i, j = move.i, move.j
-        j1 = (j + 1) % n
-        coeffs = {
-            pair_index(i, i + 1, n): 1.0,
-            pair_index(j, j1, n): 1.0,
-            pair_index(i, j, n): -1.0,
-            pair_index(i + 1, j1, n): -1.0,
-        }
-        rows.append((coeffs, 0.0))
+    rows = [
+        (
+            {
+                pair_index(a, b, n): 1.0,
+                pair_index(c, d, n): 1.0,
+                pair_index(a, c, n): -1.0,
+                pair_index(b, d, n): -1.0,
+            },
+            0.0,
+        )
+        for a, b, c, d in move_quadruples(n)
+    ]
     return Polytope.from_rows(pair_count(n), rows)
 
 
@@ -96,14 +97,9 @@ def estimate_volume_rejection(
         return VolumeEstimate(estimate=1.0, stderr=0.0, samples=samples, method="rejection")
     a, b = p.dense()
     hits = 0
-    for stream, budget in zip(worker_streams(seed, f"volume-rejection:{p.dim}", workers),
-                              split_budget(samples, workers)):
-        done = 0
-        while done < budget:
-            m = min(batch, budget - done)
-            u = stream.random((m, p.dim))
-            hits += int(np.all(u @ a.T <= b, axis=1).sum())
-            done += m
+    for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, batch):
+        u = stream.random((m, p.dim))
+        hits += int(np.all(u @ a.T <= b, axis=1).sum())
     est = hits / samples
     stderr = math.sqrt(est * (1.0 - est) / samples)
     return VolumeEstimate(
@@ -223,50 +219,4 @@ def estimate_volume_telescoping(
         samples=len(order) * samples_per_phase,
         method="telescoping",
         phases=tuple(factors),
-    )
-
-
-def estimate_prob_two_optimal(
-    n: int, trials: int, seed: int, workers: int = 1, batch: int = 200_000
-) -> VolumeEstimate:
-    """Fraction of random-weight draws leaving the reference tour 2-optimal.
-
-    Evaluates every 2-change's improvement directly on sampled weight
-    vectors; identical in distribution to rejection volume estimation of the
-    2-opt polytope but routed through the move algebra.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    moves = []
-    for move in enumerate_two_changes(n):
-        i, j = move.i, move.j
-        j1 = (j + 1) % n
-        moves.append(
-            (
-                pair_index(i, i + 1, n),
-                pair_index(j, j1, n),
-                pair_index(i, j, n),
-                pair_index(i + 1, j1, n),
-            )
-        )
-    hits = 0
-    for stream, budget in zip(worker_streams(seed, f"prob-two-optimal:{n}", workers),
-                              split_budget(trials, workers)):
-        done = 0
-        while done < budget:
-            m = min(batch, budget - done)
-            w = stream.random((m, pair_count(n)))
-            ok = np.ones(m, dtype=bool)
-            for r1, r2, c1, c2 in moves:
-                ok &= w[:, r1] + w[:, r2] - w[:, c1] - w[:, c2] <= 0.0
-            hits += int(ok.sum())
-            done += m
-    est = hits / trials
-    stderr = math.sqrt(est * (1.0 - est) / trials)
-    return VolumeEstimate(
-        estimate=est,
-        stderr=stderr,
-        samples=trials,
-        method="tour-probability",
-        zero_acceptance=(hits == 0),
     )

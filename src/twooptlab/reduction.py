@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .census import count_two_optimal_exact, is_two_optimal
+from .census import count_two_optimal_exact, two_optimal_tours
 from .core import ENUMERATION_CAP, Instance, enumerate_canonical_tours, pair_count
 from .errors import CapExceededError, SingularMatrixError
 from .rational import bareiss_determinant, rank_exact, solve_exact
@@ -151,10 +151,11 @@ def verify_no_nonedge_characterization(
     if n > cap:
         raise CapExceededError(f"exhaustive check needs nv+m <= {cap}, got {n}")
     inst = build_reduction_instance(g, params)
-    for tour in enumerate_canonical_tours(n, cap=cap):
-        if is_two_optimal(inst, tour) == _contains_non_edge(tour.order, g):
-            return False
-    return True
+    # Both sides come out in lexicographic order, so list equality is set equality.
+    avoiding = [
+        t for t in enumerate_canonical_tours(n, cap=cap) if not _contains_non_edge(t.order, g)
+    ]
+    return list(two_optimal_tours(inst, cap=cap)) == avoiding
 
 
 def cover_coefficient(size: int, m: int) -> int:
@@ -211,10 +212,9 @@ def cover_census(g: BaseGraph, params: ReductionParams, cap: int = EXHAUSTIVE_CA
         raise CapExceededError(f"exhaustive cover census needs nv+m <= {cap}, got {n}")
     inst = build_reduction_instance(g, params)
     counts: dict[frozenset, int] = {}
-    for tour in enumerate_canonical_tours(n, cap=cap):
-        if is_two_optimal(inst, tour):
-            cover = tour_segments(tour.order, g.nv)
-            counts[cover] = counts.get(cover, 0) + 1
+    for tour in two_optimal_tours(inst, cap=cap):
+        cover = tour_segments(tour.order, g.nv)
+        counts[cover] = counts.get(cover, 0) + 1
     return counts
 
 

@@ -8,6 +8,8 @@ on scheduling.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 
@@ -39,3 +41,12 @@ def split_budget(total: int, workers: int) -> list[int]:
 
 def worker_streams(seed: int, tag: str, workers: int) -> list[np.random.Generator]:
     return [substream(seed, tag, w) for w in range(workers)]
+
+
+def mc_batches(
+    seed: int, tag: str, total: int, workers: int, batch: int
+) -> Iterator[tuple[np.random.Generator, int]]:
+    """Yield (stream, m): each worker's substream draws its budget share in batches of <= batch."""
+    for stream, budget in zip(worker_streams(seed, tag, workers), split_budget(total, workers)):
+        for done in range(0, budget, batch):
+            yield stream, min(batch, budget - done)

@@ -254,7 +254,7 @@ def test_bound_chain():
     # The empirical chain bound must sit above the measured log probability
     # that the fixed tour is 2-optimal at n = 9.
     rep = tl.counting_bounds(9, samples=400_000, seed=2)
-    measured = tl.estimate_prob_two_optimal(9, 2_000_000, seed=77)
+    measured = tl.estimate_volume_rejection(tl.build_two_opt_polytope(9), 2_000_000, seed=77)
     ok = rep.log_chain_bound >= math.log(measured.estimate)
     constant_ok = round(tl.BOUND_CONSTANT, 5) == 1.20976 and tl.BOUND_CONSTANT < 1.2098
     report(

@@ -26,6 +26,15 @@ def test_census_cap_refusal_is_machine_readable(capsys):
     assert "cap" in payload["reason"]
 
 
+def test_census_and_tgraph_without_instance_emit_error(capsys):
+    for command in ("census", "tgraph"):
+        code, out = run_cli([command, "--seed", "0"], capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "error"
+        assert "--n" in payload["reason"]
+
+
 def test_gen_artifact_is_reproducible(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

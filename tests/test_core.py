@@ -21,7 +21,7 @@ from twooptlab import (
     tour_length,
     two_change_delta,
 )
-from twooptlab.core import all_pairs, canonical_tour_count, move_edges
+from twooptlab.core import all_pairs, canonical_tour_count, move_edges, move_quadruples
 from twooptlab.rng import substream
 
 
@@ -87,6 +87,14 @@ def test_instance_json_round_trip():
     inst = random_instance(5, seed=2)
     again = Instance.from_json_dict(inst.to_json_dict())
     assert again == inst
+
+
+def test_instance_json_rejects_fractional_exact_weight():
+    data = {"n": 4, "mode": "exact", "weights": [1.7, 1, 1, 1, 1, 1]}
+    with pytest.raises(ValueError, match="integer"):
+        Instance.from_json_dict(data)
+    data["weights"][0] = 2.0  # integral floats still load as ints
+    assert Instance.from_json_dict(data).weights[0] == 2
 
 
 def test_tour_length_uniform_weights():
@@ -220,3 +228,12 @@ def test_move_edges_identifies_chords():
     (e1, e2), (f1, f2) = move_edges(Tour((0, 1, 2, 3, 4)), TwoChange(0, 2))
     assert (e1, e2) == ((0, 1), (2, 3))
     assert (f1, f2) == ((0, 2), (1, 3))
+
+
+def test_move_quadruples_match_move_edges_on_reference_tour():
+    for n in range(4, 10):
+        tour = Tour(tuple(range(n)))
+        quads = move_quadruples(n)
+        assert len(quads) == len(enumerate_two_changes(n))
+        for (a, b, c, d), move in zip(quads, enumerate_two_changes(n)):
+            assert move_edges(tour, move) == (((a, b), (c, d)), ((a, c), (b, d)))

@@ -5,12 +5,13 @@ import pytest
 
 from twooptlab import (
     build_two_opt_polytope,
+    count_two_optimal_exact,
     enumerate_two_changes,
-    estimate_prob_two_optimal,
     estimate_volume_rejection,
     estimate_volume_telescoping,
     pair_count,
     pair_index,
+    random_instance,
 )
 from twooptlab.polytopes import Polytope
 
@@ -105,23 +106,15 @@ def test_telescoping_rejects_tiny_phase_budget():
         estimate_volume_telescoping(simplex(2), 50, seed=0)
 
 
-def test_prob_two_optimal_range_and_determinism():
-    est = estimate_prob_two_optimal(4, 20_000, seed=8)
-    assert 0.0 <= est.estimate <= 1.0
-    again = estimate_prob_two_optimal(4, 20_000, seed=8)
-    assert est.estimate == again.estimate
-
-
-def test_prob_two_optimal_agrees_with_rejection_volume():
-    prob = estimate_prob_two_optimal(5, 200_000, seed=10)
-    rej = estimate_volume_rejection(build_two_opt_polytope(5), 200_000, seed=11)
-    assert abs(prob.estimate - rej.estimate) <= 3 * math.hypot(prob.stderr, rej.stderr)
-
-
-def test_prob_two_optimal_worker_split_is_deterministic():
-    a = estimate_prob_two_optimal(5, 30_000, seed=12, workers=4)
-    b = estimate_prob_two_optimal(5, 30_000, seed=12, workers=4)
-    assert a.estimate == b.estimate
+def test_rejection_volume_matches_census_probability():
+    # By symmetry the volume is the mean fraction of the 12 canonical tours
+    # at n = 5 that are 2-optimal, measured exactly per random instance.
+    rej = estimate_volume_rejection(build_two_opt_polytope(5), 1_000_000, seed=11)
+    fractions = np.array(
+        [count_two_optimal_exact(random_instance(5, s)) / 12 for s in range(4000)]
+    )
+    census_stderr = fractions.std(ddof=1) / math.sqrt(len(fractions))
+    assert abs(fractions.mean() - rej.estimate) <= 3 * math.hypot(census_stderr, rej.stderr)
 
 
 def test_dense_matches_sparse_rows():
