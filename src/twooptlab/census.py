@@ -2,8 +2,11 @@
 
 The transition graph has a node per canonical tour and an arc for every
 strictly improving 2-change.  Arcs strictly decrease tour length, so the
-graph is acyclic and its sinks are exactly the 2-optimal tours.  The census
-routines are the ground-truth oracle for the probabilistic estimators.
+graph is acyclic and its sinks are exactly the 2-optimal tours; float
+rounding can still make a move and its reverse both look improving, and
+``transition_stats`` refuses such a cycle.  The exact census finds the same
+2-optimal tours by a prefix-pruned search.  The census routines are the
+ground-truth oracle for the probabilistic estimators.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .core import (
     Instance,
     Tour,
     canonicalize,
+    check_enumeration_cap,
     enumerate_canonical_tours,
     move_quadruples,
     tour_length,
@@ -37,28 +41,73 @@ def is_two_optimal(inst: Instance, tour: Tour) -> bool:
     )
 
 
+def _two_optimal_orders(inst: Instance, cap: int) -> Iterator[tuple[int, ...]]:
+    """Vertex orders of the 2-optimal canonical tours, in lexicographic order.
+
+    Depth-first over tour positions 1..n-1 (position 0 holds vertex 0), trying
+    free vertices in increasing order.  Each move is tested once, when the
+    last position it reads, max(c, d), is filled, and a prefix is dropped at
+    its first strictly improving move.  The last two positions are filled
+    inline, where the canonical rule order[1] < order[n-1] is applied.
+    """
+    n = inst.n
+    check_enumeration_cap(n, cap)
+    w = inst.weight_matrix()
+    zero = 0 if inst.mode == "exact" else 0.0
+    closing: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for a, b, c, d in move_quadruples(n):
+        closing[max(c, d)].append((a, b, c, d))
+    pen, last = n - 2, n - 1
+    tail = closing[pen] + closing[last]
+    o = [0] * n
+    free = [[] for _ in range(n)]  # free[p]: vertices not in o[:p], ascending
+    free[1] = list(range(1, n))
+    tried = [0] * n  # tried[p]: how many of free[p] position p has taken
+    p = 1
+    while p:
+        k = tried[p]
+        if k == n - p:
+            p -= 1
+            continue
+        tried[p] = k + 1
+        cand = free[p]
+        o[p] = cand[k]
+        for a, b, c, d in closing[p]:
+            if w[o[a]][o[b]] + w[o[c]][o[d]] - w[o[a]][o[c]] - w[o[b]][o[d]] > zero:
+                break
+        else:
+            rest = cand[:k] + cand[k + 1 :]
+            if p < pen - 1:
+                p += 1
+                free[p] = rest
+                tried[p] = 0
+                continue
+            x, y = rest
+            for s, t in ((x, y), (y, x)):
+                if o[1] > t:
+                    continue
+                o[pen] = s
+                o[last] = t
+                for a, b, c, d in tail:
+                    if w[o[a]][o[b]] + w[o[c]][o[d]] - w[o[a]][o[c]] - w[o[b]][o[d]] > zero:
+                        break
+                else:
+                    yield tuple(o)
+
+
 def two_optimal_tours(inst: Instance, cap: int = ENUMERATION_CAP) -> Iterator[Tour]:
     """Yield the 2-optimal canonical tours in lexicographic order.
 
-    The weight matrix is built once, and each tour is dropped at its first
-    strictly improving move.  Every exact scanner goes through here.
+    The prefix-pruned search behind every exact scanner; refuses n beyond the
+    enumeration cap.
     """
-    w = inst.weight_matrix()
-    moves = move_quadruples(inst.n)
-    zero = 0 if inst.mode == "exact" else 0.0
-    for tour in enumerate_canonical_tours(inst.n, cap=cap):
-        o = tour.order
-        for i, i1, j, j1 in moves:
-            a, b, c, d = o[i], o[i1], o[j], o[j1]
-            if w[a][b] + w[c][d] - w[a][c] - w[b][d] > zero:
-                break
-        else:
-            yield tour
+    for order in _two_optimal_orders(inst, cap):
+        yield Tour(order)
 
 
 def count_two_optimal_exact(inst: Instance, cap: int = ENUMERATION_CAP) -> int:
     """Exact number of 2-optimal canonical tours."""
-    return sum(1 for _ in two_optimal_tours(inst, cap=cap))
+    return sum(1 for _ in _two_optimal_orders(inst, cap))
 
 
 @dataclass(frozen=True)
@@ -130,19 +179,33 @@ def transition_stats(graph: TransitionGraph, walks: int = 1000, seed: int = 0) -
     """Sink count, exact longest path, and sampled improving-walk lengths.
 
     Walks start from uniform random nodes and pick an improving arc uniformly
-    at random until they reach a sink.
+    at random until they reach a sink.  A cyclic arc set raises ValueError.
     """
     adj = graph.out_adjacency()
     sinks = sum(1 for targets in adj if not targets)
 
-    # Arcs strictly decrease length, so ascending length is a reverse
-    # topological order; ties carry no arcs.
-    order = sorted(range(len(graph.nodes)), key=lambda k: graph.lengths[k])
-    longest = [0] * len(graph.nodes)
-    for k in order:
-        if adj[k]:
-            longest[k] = 1 + max(longest[t] for t in adj[k])
-    longest_path = max(longest, default=0)
+    # Peel the sinks off layer by layer: a node leaves with its last
+    # successor, so the layers after the first count the longest path.  Only
+    # the arcs are read; float lengths that tie or round cannot shorten it.
+    preds: list[list[int]] = [[] for _ in graph.nodes]
+    for u, v in graph.arcs:
+        preds[v].append(u)
+    unpeeled = [len(targets) for targets in adj]
+    layer = [k for k, targets in enumerate(adj) if not targets]
+    peeled = layers = 0
+    while layer:
+        peeled += len(layer)
+        layers += 1
+        next_layer = []
+        for v in layer:
+            for u in preds[v]:
+                unpeeled[u] -= 1
+                if not unpeeled[u]:
+                    next_layer.append(u)
+        layer = next_layer
+    if peeled < len(graph.nodes):
+        raise ValueError("improving arcs form a cycle; no longest path exists")
+    longest_path = max(layers - 1, 0)
 
     rng = substream(seed, "improving-walks")
     lengths = []

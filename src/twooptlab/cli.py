@@ -87,7 +87,10 @@ def _emit_csv(manifest: dict, header: list[str], rows: list[list], out: str | No
 
 def _load_instance(args: argparse.Namespace) -> Instance:
     if getattr(args, "instance", None):
-        return Instance.from_json_dict(json.loads(Path(args.instance).read_text()))
+        data = json.loads(Path(args.instance).read_text())
+        if isinstance(data, dict) and "instance" in data:
+            data = data["instance"]  # a `gen` artifact nests it next to the manifest
+        return Instance.from_json_dict(data)
     if args.n is None:
         raise ValueError("need --n or --instance")
     if getattr(args, "equal_weights", False):

@@ -100,14 +100,19 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Instance":
-        mode = data["mode"]
-        cast = _integral if mode == "exact" else float
-        return cls(
-            n=int(data["n"]),
-            weights=tuple(cast(w) for w in data["weights"]),
-            mode=mode,
-            label=str(data.get("label", "")),
-        )
+        """Parse an instance object; every malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"instance JSON must be an object, got {type(data).__name__}")
+        try:
+            mode = data["mode"]
+            cast = _integral if mode == "exact" else float
+            n = int(data["n"])
+            weights = tuple(cast(w) for w in data["weights"])
+        except KeyError as exc:
+            raise ValueError(f"instance JSON lacks key {exc}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed instance JSON: {exc}") from exc
+        return cls(n=n, weights=weights, mode=mode, label=str(data.get("label", "")))
 
 
 def _integral(w) -> int:
@@ -258,8 +263,8 @@ def canonical_tour_count(n: int) -> int:
     return math.factorial(n - 1) // 2
 
 
-def enumerate_canonical_tours(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Tour]:
-    """Yield every canonical tour exactly once, in lexicographic order."""
+def check_enumeration_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
+    """The one size check of every exhaustive tour scan; the hard ceiling wins over cap."""
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     cap = min(cap, ENUMERATION_HARD_CAP)
@@ -268,6 +273,11 @@ def enumerate_canonical_tours(n: int, cap: int = ENUMERATION_CAP) -> Iterator[To
             f"refusing to enumerate {canonical_tour_count(n)} tours at n={n}; "
             f"cap is {cap} (hard ceiling {ENUMERATION_HARD_CAP})"
         )
+
+
+def enumerate_canonical_tours(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Tour]:
+    """Yield every canonical tour exactly once, in lexicographic order."""
+    check_enumeration_cap(n, cap)
     for rest in permutations(range(1, n)):
         if rest[0] < rest[-1]:
             yield Tour((0,) + rest)

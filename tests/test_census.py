@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twooptlab import (
     CapExceededError,
@@ -14,6 +16,7 @@ from twooptlab import (
     transition_stats,
     tour_length,
     two_change_delta,
+    two_optimal_tours,
 )
 from twooptlab.census import TransitionGraph
 from twooptlab.core import Instance, pair_count, pair_index
@@ -52,6 +55,33 @@ def test_is_two_optimal_agrees_with_direct_scan():
 @pytest.mark.parametrize("n,count", [(4, 3), (5, 12)])
 def test_census_equal_weights(n, count):
     assert count_two_optimal_exact(constant_instance(n)) == count
+
+
+@st.composite
+def tied_or_float_instances(draw):
+    n = draw(st.integers(4, 8))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 2), min_size=pair_count(n), max_size=pair_count(n)))
+        return Instance(n=n, weights=tuple(weights), mode="exact")
+    weights = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=pair_count(n), max_size=pair_count(n))
+    )
+    return Instance(n=n, weights=tuple(weights), mode="float")
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_or_float_instances())
+def test_pruned_census_equals_full_scan(inst):
+    full = [t for t in enumerate_canonical_tours(inst.n) if is_two_optimal(inst, t)]
+    assert list(two_optimal_tours(inst)) == full
+    assert count_two_optimal_exact(inst) == len(full)
+
+
+def test_census_full_scan_keeps_every_tour():
+    inst = constant_instance(9)
+    tours = list(two_optimal_tours(inst))
+    assert len(tours) == 20_160
+    assert tours == list(enumerate_canonical_tours(9))
 
 
 def test_census_equals_graph_sinks():
@@ -121,6 +151,24 @@ def test_stats_on_hand_built_chain():
     assert stats.sinks == 1
     assert stats.longest_path == 2
     assert max(stats.walk_lengths) == 2
+
+
+def test_stats_longest_path_ignores_tied_lengths():
+    # Equal computed lengths along improving arcs (float rounding can do this)
+    # must not shorten the longest path.
+    nodes = tuple(enumerate_canonical_tours(4))
+    graph = TransitionGraph(n=4, nodes=nodes, lengths=(1.0, 1.0, 1.0), arcs=((0, 1), (1, 2)))
+    assert transition_stats(graph, walks=10, seed=1).longest_path == 2
+
+
+def test_stats_refuses_float_rounding_cycle():
+    # Float rounding makes one 2-change and its reverse both look improving
+    # between tours 0 and 5, so no longest path exists.
+    weights = (0.3, 0.2, 0.6, 0.2, 2.2, 2.2, 2.2, 1.1, 0.7, 0.2)
+    graph = build_transition_graph(Instance(n=5, weights=weights, mode="float"))
+    assert {(0, 5), (5, 0)} <= set(graph.arcs)
+    with pytest.raises(ValueError, match="cycle"):
+        transition_stats(graph, walks=10, seed=1)
 
 
 def test_stats_sinks_match_census():

@@ -57,6 +57,26 @@ def test_census_roundtrips_generated_instance(tmp_path, capsys):
     code, out = run_cli(["census", "--instance", str(bare)], capsys)
     assert code == 0
     assert 1 <= int(out.strip()) <= 60
+    # and the gen artifact itself, instance nested next to the manifest
+    assert run_cli(["census", "--instance", str(inst_path)], capsys) == (0, out)
+
+
+def test_malformed_instance_files_emit_error(tmp_path, capsys):
+    bad = {
+        "missing_mode.json": {"n": 5, "weights": [1] * 10},
+        "missing_weights.json": {"n": 5, "mode": "exact"},
+        "not_an_object.json": [1, 2, 3],
+        "weights_not_a_list.json": {"n": 5, "mode": "float", "weights": 3},
+        "weight_overflows_float.json": {"n": 4, "mode": "float", "weights": [10**400] * 6},
+        "nested_missing_key.json": {"manifest": {}, "instance": {"mode": "float"}},
+    }
+    for name, payload in bad.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        for command in ("census", "tgraph"):
+            code, out = run_cli([command, "--instance", str(path)], capsys)
+            assert code == 1, name
+            assert json.loads(out)["status"] == "error", name
 
 
 def test_tgraph_report_shape(tmp_path, capsys):
