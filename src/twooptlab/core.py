@@ -105,9 +105,11 @@ class Instance:
             raise ValueError(f"instance JSON must be an object, got {type(data).__name__}")
         try:
             mode = data["mode"]
-            cast = _integral if mode == "exact" else float
-            n = int(data["n"])
-            weights = tuple(cast(w) for w in data["weights"])
+            n = _integral(data["n"], "n")
+            weights = tuple(
+                _integral(w, "exact-mode weight") if mode == "exact" else float(w)
+                for w in data["weights"]
+            )
         except KeyError as exc:
             raise ValueError(f"instance JSON lacks key {exc}") from exc
         except (TypeError, OverflowError) as exc:
@@ -115,11 +117,11 @@ class Instance:
         return cls(n=n, weights=weights, mode=mode, label=str(data.get("label", "")))
 
 
-def _integral(w) -> int:
-    """int(w) for an integral JSON number; refuses to truncate 1.7 to 1."""
-    if isinstance(w, float) and not w.is_integer():
-        raise ValueError(f"exact mode requires integer weights, got {w!r}")
-    return int(w)
+def _integral(value, name: str) -> int:
+    """int(value) for an integral JSON number; refuses to truncate 1.7 to 1."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def random_instance(n: int, seed: int) -> Instance:

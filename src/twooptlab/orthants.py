@@ -148,21 +148,27 @@ def _rejection_orthant_draws(spec: CovarianceSpec, count: int, rng,
 
 def _gibbs_orthant_draws(spec: CovarianceSpec, count: int, rng,
                          burn_in: int = 1000, thin: int = 10):
-    """Coordinate-update chain: each conditional is a positive-truncated normal."""
+    """Coordinate-update chain: each conditional is a positive-truncated normal.
+
+    Each sweep draws its d uniforms at once and maps them to [1 - alpha, 1)
+    as ``Generator.uniform(1 - alpha, 1)`` would; the arithmetic runs on
+    Python floats, so the draws match a per-coordinate ``uniform`` call.
+    """
     prec = spec.precision
-    cond_sd = 1.0 / np.sqrt(np.diag(prec))
+    diag = [float(v) for v in np.diag(prec)]
+    cond_sd = [1.0 / math.sqrt(v) for v in diag]
     x = np.ones(spec.d)
     out = np.empty((count, spec.d))
     collected = 0
     sweeps = burn_in + count * thin
     for sweep in range(1, sweeps + 1):
-        for i in range(spec.d):
-            mu = -(prec[i] @ x - prec[i, i] * x[i]) / prec[i, i]
-            alpha = ndtr(mu / cond_sd[i])  # P(conditional > 0)
-            u = rng.uniform(1.0 - alpha, 1.0)
-            x[i] = mu + cond_sd[i] * ndtri(u)
-            if x[i] <= 0.0:  # guard against rounding at the boundary
-                x[i] = 1e-12
+        for i, u in enumerate(rng.random(spec.d).tolist()):
+            mu = -(float(prec[i] @ x) - diag[i] * float(x[i])) / diag[i]
+            low = 1.0 - float(ndtr(mu / cond_sd[i]))  # 1 - P(conditional > 0)
+            v = mu + cond_sd[i] * float(ndtri(low + (1.0 - low) * u))
+            if v <= 0.0:  # guard against rounding at the boundary
+                v = 1e-12
+            x[i] = v
         if sweep > burn_in and (sweep - burn_in) % thin == 0:
             out[collected] = x
             collected += 1

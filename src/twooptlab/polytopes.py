@@ -8,8 +8,11 @@ shared move table ``core.move_quadruples``, the same table the exact census
 scans.  The volume of the polytope equals the probability that a fixed tour
 is 2-optimal, so the census mean over random instances divided by the tour
 count is an independent check on it.  Two estimators are kept: plain
-rejection sampling, and a telescoped product of conditional acceptance rates
-sampled by hit-and-run.
+rejection sampling, and a telescoped product of conditional acceptance rates.
+The telescoping estimator adds one row per phase and samples each phase with
+many hit-and-run chains advanced in lock-step as one (chains, dim) array.
+Each phase's chains start at the previous phase's accepted samples, which
+are already distributed as the new target, so no burn-in is spent.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import move_quadruples, pair_count, pair_index
-from .rng import mc_batches, substream
+from .rng import mc_batches, split_budget, substream
 
 
 @dataclass(frozen=True)
@@ -111,47 +114,32 @@ def estimate_volume_rejection(
     )
 
 
-def _chord_range(x, u, a, b):
-    """Intersection of the line x + t*u with the box and active rows."""
+def _hit_and_run_chains(starts, a, b, thin, burn_in, rng):
+    """Advance one hit-and-run chain per row of ``starts`` in lock-step.
+
+    The box is folded into the row system G x <= h with G = [a; I; -I] and
+    h = [b; 1; 0].  Each of the ``burn_in + thin`` steps draws a Gaussian
+    direction per chain and moves it to a uniform point of its chord; rows
+    with |G u| <= 1e-14 are ignored, and a chain whose chord is empty
+    (numerically stuck on a face) stays put.  Returns each chain's final
+    point.
+    """
+    x = np.array(starts, dtype=float)
+    k, dim = x.shape
+    eye = np.eye(dim)
+    g_t = np.ascontiguousarray(np.vstack([a, eye, -eye]).T)
+    h = np.concatenate([b, np.ones(dim), np.zeros(dim)])
     with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (0.0 - x) / u
-        t1 = (1.0 - x) / u
-    mask = np.abs(u) > 1e-14
-    lo = float(np.max(np.minimum(t0, t1)[mask]))
-    hi = float(np.min(np.maximum(t0, t1)[mask]))
-    if a is not None and len(a):
-        au = a @ u
-        slack = b - a @ x
-        pos = au > 1e-14
-        neg = au < -1e-14
-        if pos.any():
-            hi = min(hi, float(np.min(slack[pos] / au[pos])))
-        if neg.any():
-            lo = max(lo, float(np.max(slack[neg] / au[neg])))
-    return lo, hi
-
-
-def _hit_and_run_samples(start, a, b, count, thin, burn_in, rng):
-    """Uniform samples in {x in box : a.x <= b} by hit-and-run from start."""
-    x = np.array(start, dtype=float)
-    dim = x.shape[0]
-    out = np.empty((count, dim))
-    total = burn_in + count * thin
-    collected = 0
-    for step in range(1, total + 1):
-        u = rng.standard_normal(dim)
-        lo, hi = _chord_range(x, u, a, b)
-        if hi <= lo:  # numerically stuck on a face; stay put
-            continue
-        x = x + rng.uniform(lo, hi) * u
-        np.clip(x, 0.0, 1.0, out=x)
-        if step > burn_in and (step - burn_in) % thin == 0:
-            out[collected] = x
-            collected += 1
-    while collected < count:
-        out[collected] = x
-        collected += 1
-    return out
+        for _ in range(burn_in + thin):
+            u = rng.standard_normal((k, dim))
+            gu = u @ g_t
+            t = (h - x @ g_t) / gu
+            hi = np.where(gu > 1e-14, t, np.inf).min(axis=1)
+            lo = np.where(gu < -1e-14, t, -np.inf).max(axis=1)
+            step = np.where(hi > lo, lo + (hi - lo) * rng.random(k), 0.0)
+            x += step[:, None] * u
+            np.clip(x, 0.0, 1.0, out=x)
+    return x
 
 
 def _pilot_row_order(p: Polytope, seed: int, pilot: int) -> list[int]:
@@ -162,20 +150,35 @@ def _pilot_row_order(p: Polytope, seed: int, pilot: int) -> list[int]:
     return sorted(range(len(p.rows)), key=lambda r: (-rates[r], r))
 
 
+TELESCOPING_LINEAGES = 10
+
+
 def estimate_volume_telescoping(
     p: Polytope,
     samples_per_phase: int,
     seed: int,
     thin: int = 50,
-    burn_in: int = 500,
+    burn_in: int = 0,
     pilot: int = 2000,
 ) -> VolumeEstimate:
     """Product of conditional row-acceptance rates, one hit-and-run phase per row.
 
     Phase k samples the polytope of the first k-1 rows (box always active)
-    and estimates the fraction satisfying row k.  A phase with zero accepted
-    samples flags the estimate as degenerate and aborts with the partial
-    product.
+    and estimates the fraction satisfying row k.  Phase 0 draws i.i.d.
+    uniforms from the box.  Every later phase runs ``samples_per_phase``
+    chains in lock-step and takes each chain's point after
+    ``burn_in + thin`` steps.  The accepted samples of phase k already lie
+    in the polytope that phase k+1 samples, distributed as its target, so
+    chains warm-started on them need no burn-in and ``burn_in`` defaults
+    to 0.
+
+    The chains form ``TELESCOPING_LINEAGES`` replica lineages; chain c of a
+    lineage restarts at that lineage's accepted sample ``c mod hits`` (the
+    pooled accepted samples if the lineage has none).  Chains sharing a
+    start are correlated, so ``stderr`` is the delete-one-lineage jackknife
+    of log(estimate) rather than a binomial formula.  A phase with zero
+    accepted samples flags the estimate as degenerate and aborts with the
+    partial product.
     """
     if samples_per_phase < 100:
         raise ValueError("samples_per_phase must be >= 100")
@@ -184,20 +187,18 @@ def estimate_volume_telescoping(
     a_all, b_all = p.dense()
     order = _pilot_row_order(p, seed, pilot)
     rng = substream(seed, "telescoping-chain")
-    x = np.full(p.dim, 0.5)
+    sizes = np.array(split_budget(samples_per_phase, TELESCOPING_LINEAGES))
+    edges = np.concatenate([[0], np.cumsum(sizes)])
     factors: list[float] = []
-    rel_var = 0.0
+    lineage_hits = []
     for phase, row in enumerate(order):
         if phase == 0:
             # No rows active yet: box samples are exact i.i.d. uniforms.
             samples = rng.random((samples_per_phase, p.dim))
         else:
             active = order[:phase]
-            samples = _hit_and_run_samples(
-                x, a_all[active], b_all[active], samples_per_phase, thin, burn_in, rng
-            )
-        slack = b_all[row] - samples @ a_all[row]
-        ok = slack >= 0.0
+            samples = _hit_and_run_chains(starts, a_all[active], b_all[active], thin, burn_in, rng)
+        ok = samples @ a_all[row] <= b_all[row]
         hits = int(ok.sum())
         if hits == 0:
             return VolumeEstimate(
@@ -208,14 +209,27 @@ def estimate_volume_telescoping(
                 degenerate=True,
                 phases=tuple(factors),
             )
-        rate = hits / samples_per_phase
-        factors.append(rate)
-        rel_var += (1.0 - rate) / (rate * samples_per_phase)
-        x = samples[int(np.argmax(slack))]
+        factors.append(hits / samples_per_phase)
+        lineage_hits.append(np.add.reduceat(ok, edges[:-1], dtype=int))
+        starts = np.empty_like(samples)
+        for first, stop in zip(edges[:-1], edges[1:]):
+            accepted = samples[first:stop][ok[first:stop]]
+            if len(accepted) == 0:
+                accepted = samples[ok]
+            starts[first:stop] = accepted[np.arange(stop - first) % len(accepted)]
     estimate = math.prod(factors)
+    hits_by_lineage = np.array(lineage_hits)  # (phases, lineages)
+    rest = hits_by_lineage.sum(axis=1, keepdims=True) - hits_by_lineage
+    if np.all(rest > 0):
+        # Delete-one-lineage jackknife of log(estimate).
+        loo = np.log(rest / (samples_per_phase - sizes)).sum(axis=0)
+        var_log = (TELESCOPING_LINEAGES - 1) * np.mean((loo - loo.mean()) ** 2)
+        stderr = estimate * math.sqrt(var_log)
+    else:
+        stderr = math.inf  # one lineage holds every hit of some phase
     return VolumeEstimate(
         estimate=estimate,
-        stderr=estimate * math.sqrt(rel_var),
+        stderr=stderr,
         samples=len(order) * samples_per_phase,
         method="telescoping",
         phases=tuple(factors),

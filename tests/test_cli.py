@@ -69,6 +69,7 @@ def test_malformed_instance_files_emit_error(tmp_path, capsys):
         "weights_not_a_list.json": {"n": 5, "mode": "float", "weights": 3},
         "weight_overflows_float.json": {"n": 4, "mode": "float", "weights": [10**400] * 6},
         "nested_missing_key.json": {"manifest": {}, "instance": {"mode": "float"}},
+        "fractional_n.json": {"n": 5.9, "mode": "exact", "weights": [1] * 10},
     }
     for name, payload in bad.items():
         path = tmp_path / name

@@ -97,6 +97,14 @@ def test_instance_json_rejects_fractional_exact_weight():
     assert Instance.from_json_dict(data).weights[0] == 2
 
 
+def test_instance_json_rejects_fractional_n():
+    data = {"n": 5.9, "mode": "exact", "weights": [1] * 10}
+    with pytest.raises(ValueError, match="n must be an integer"):
+        Instance.from_json_dict(data)
+    data["n"] = 5.0
+    assert Instance.from_json_dict(data).n == 5
+
+
 def test_tour_length_uniform_weights():
     inst = constant_instance(4, value=1)
     assert tour_length(inst, Tour((0, 1, 2, 3))) == 4

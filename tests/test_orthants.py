@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,10 +16,12 @@ from twooptlab import (
     truncated_moments_mc,
 )
 from twooptlab.orthants import (
+    _gibbs_orthant_draws,
     amemiya_residuals,
     equicorrelated_closed_forms,
     equicorrelated_g_sum,
 )
+from twooptlab.rng import substream
 
 
 def bivariate_orthant(rho: float) -> float:
@@ -108,6 +111,16 @@ def test_gibbs_and_rejection_cross_validate_at_d5():
     diff = np.abs(rej.matrix - gib.matrix)
     tol = 3 * np.hypot(rej.stderr, gib.stderr)
     assert np.all(diff <= tol)
+
+
+def test_gibbs_draws_are_pinned():
+    # Pins the chain's random stream and arithmetic: the bytes of 50 draws.
+    draws = _gibbs_orthant_draws(equicorrelated_spec(12), 50, substream(7, "pin"))
+    assert draws.shape == (50, 12)
+    assert (
+        hashlib.sha256(draws.tobytes()).hexdigest()
+        == "666d454d943161ed2100e0e2088cf88a16aee9d1a828d2c8d52378614bf28f9a"
+    )
 
 
 def test_gibbs_selected_beyond_rejection_cap():

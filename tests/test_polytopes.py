@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from twooptlab import (
     pair_index,
     random_instance,
 )
-from twooptlab.polytopes import Polytope
+from twooptlab.orthants import _gibbs_orthant_draws
+from twooptlab.polytopes import Polytope, _hit_and_run_chains
+from twooptlab.rng import substream
 
 
 def simplex(dim: int) -> Polytope:
@@ -99,6 +102,75 @@ def test_telescoping_degenerate_phase_aborts_with_partial_report():
     assert est.degenerate
     assert est.estimate == 0.0
     assert len(est.phases) < 2
+
+
+def test_telescoping_certain_rows_have_zero_stderr():
+    # Rows every box point satisfies: each phase accepts every chain, every
+    # leave-one-lineage-out estimate is 1, and the jackknife spread is 0.
+    loose = Polytope.from_rows(3, [({0: 1.0}, 1.0), ({1: 1.0, 2: 1.0}, 2.0)])
+    est = estimate_volume_telescoping(loose, 100, seed=8)
+    assert est.estimate == 1.0 and est.stderr == 0.0
+    assert est.phases == (1.0, 1.0)
+
+
+def test_telescoping_box_corner_mean_over_seeds():
+    # Volume 0.5 * 0.1 * 0.05.  At 100 chains per phase a lineage of 10
+    # chains often has no sample accepted by the 0.1 row and restarts from
+    # the pooled accepted samples; the mean over seeds must stay unbiased.
+    corner = Polytope.from_rows(3, [({0: 1.0}, 0.5), ({1: 1.0}, 0.1), ({2: 1.0}, 0.05)])
+    runs = [estimate_volume_telescoping(corner, 100, seed=s) for s in range(60)]
+    assert not any(r.degenerate for r in runs)
+    assert all(r.stderr > 0.0 for r in runs)  # never NaN; inf when one lineage holds every hit
+    est = np.array([r.estimate for r in runs])
+    assert abs(est.mean() - 0.0025) <= 3 * est.std(ddof=1) / math.sqrt(len(est))
+
+
+def test_telescoping_same_seed_same_result():
+    p = build_two_opt_polytope(6)
+    a = estimate_volume_telescoping(p, 150, seed=12)
+    b = estimate_volume_telescoping(p, 150, seed=12)
+    assert a.estimate == b.estimate and a.stderr == b.stderr
+    assert a.phases == b.phases
+    assert a.phases != estimate_volume_telescoping(p, 150, seed=13).phases
+
+
+@pytest.mark.parametrize(
+    "p", [build_two_opt_polytope(6), simplex(5)], ids=["two-opt-6", "simplex-5"]
+)
+def test_hit_and_run_chains_stay_inside(p):
+    a, b = p.dense()
+    eye = np.eye(p.dim)
+    g = np.vstack([a, eye, -eye])
+    h = np.concatenate([b, np.ones(p.dim), np.zeros(p.dim)])
+    box = substream(0, "starts").random((50_000, p.dim))
+    inside = box[np.all(box @ a.T <= b, axis=1)]
+    x = np.tile(inside[0], (200, 1))  # every chain shares one interior start
+    for burn_in, thin in ((0, 1), (3, 20)):
+        x = _hit_and_run_chains(x, a, b, thin, burn_in, substream(0, "chains", thin))
+        assert x.shape == (200, p.dim)
+        assert np.all(x @ g.T <= h + 1e-12)
+    assert len(np.unique(x, axis=0)) == 200
+
+
+def test_hit_and_run_chain_on_a_face_stays_finite():
+    # With the box, the row x0 <= 0 leaves only the face x0 = 0: every chord
+    # through a start is a single point.  Half the starts also sit on a box
+    # corner.  Chains must stay put there, without NaN from 0/0 slacks.
+    face = Polytope.from_rows(3, [({0: 1.0}, 0.0)])
+    a, b = face.dense()
+    starts = np.tile([0.0, 0.5, 0.5], (100, 1))
+    starts[::2, 1:] = 0.0
+    x = _hit_and_run_chains(starts, a, b, 30, 0, substream(1, "face"))
+    assert not np.isnan(x).any()
+    assert np.all(x[:, 0] <= 1e-12) and np.all((x >= 0.0) & (x <= 1.0))
+
+
+def test_chain_parameters_read_by_the_benchmark_tracer():
+    tele = inspect.signature(estimate_volume_telescoping).parameters
+    assert {"p", "samples_per_phase", "burn_in", "thin"} <= set(tele)
+    assert tele["burn_in"].default == 0
+    gibbs = inspect.signature(_gibbs_orthant_draws).parameters
+    assert gibbs["burn_in"].default == 1000 and gibbs["thin"].default == 10
 
 
 def test_telescoping_rejects_tiny_phase_budget():
