@@ -24,7 +24,6 @@ from .core import (
     move_quadruples,
     tour_length,
 )
-from .errors import CapExceededError
 from .rng import substream
 
 GRAPH_CAP = 9
@@ -135,11 +134,7 @@ class TransitionGraph:
 def build_transition_graph(inst: Instance, cap: int = GRAPH_CAP) -> TransitionGraph:
     """Full node and improving-arc sets; refuses n beyond the graph cap."""
     n = inst.n
-    if n > min(cap, GRAPH_CAP):
-        raise CapExceededError(
-            f"transition graph at n={n} exceeds cap {min(cap, GRAPH_CAP)}"
-        )
-    nodes = tuple(enumerate_canonical_tours(n, cap=GRAPH_CAP))
+    nodes = tuple(enumerate_canonical_tours(n, cap=min(cap, GRAPH_CAP)))
     index = {t.order: k for k, t in enumerate(nodes)}
     lengths = tuple(tour_length(inst, t) for t in nodes)
     w = inst.weight_matrix()

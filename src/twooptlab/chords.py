@@ -83,13 +83,13 @@ def chord_edges_of_move(n: int, move: TwoChange) -> tuple[frozenset, frozenset]:
 
 
 def verify_chord_disjoint(s: ChordDisjointSet) -> bool:
-    """Exhaustive pairwise check that no two moves share an added chord."""
-    chords = [chord_edges_of_move(s.n, m) for m in s.moves]
-    for a in range(len(chords)):
-        ca = set(chords[a])
-        for b in range(a + 1, len(chords)):
-            if chords[b][0] in ca or chords[b][1] in ca:
-                return False
+    """Exhaustive check that no two moves share an added chord, in one pass."""
+    seen: set[frozenset] = set()
+    for move in s.moves:
+        chords = chord_edges_of_move(s.n, move)
+        if chords[0] in seen or chords[1] in seen:
+            return False
+        seen.update(chords)
     return True
 
 

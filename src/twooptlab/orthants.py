@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import NotPositiveDefiniteError
-from .rng import mc_batches, split_budget, worker_streams
+from .rng import mc_batches
 
 REJECTION_DIM_CAP = 8
 MIN_ACCEPT_RATE = 1e-4
@@ -195,10 +195,9 @@ def truncated_moments_mc(
     chunks = []
     rate = None
     used = sampler
-    for stream, budget in zip(worker_streams(seed, "truncated-moments", workers),
-                              split_budget(accepted_samples, workers)):
-        if budget == 0:
-            continue
+    # With batch = total, each worker's nonzero budget comes out exactly once.
+    for stream, budget in mc_batches(seed, "truncated-moments", accepted_samples, workers,
+                                     accepted_samples):
         if used == "rejection":
             draws, rate = _rejection_orthant_draws(spec, budget, stream)
             if draws is None:
@@ -226,18 +225,18 @@ def amemiya_residuals(spec: CovarianceSpec, moments: TruncatedMoments) -> np.nda
     return (spec.precision * moments.matrix).sum(axis=1) - 1.0
 
 
-def _pair_density_at_origin(draws: np.ndarray, k: int, q: int) -> float:
-    """Product-Gaussian KDE of the (Z_k, Z_q) density at (0, 0).
+def _pair_densities_at_origin(draws: np.ndarray) -> np.ndarray:
+    """Product-Gaussian KDE of every (Z_k, Z_q) density at (0, 0), zero diagonal.
 
     Both coordinates live on (0, inf), so the kernel mass at the corner is
     recovered by reflecting across both axes (a factor of 4 at the origin).
     """
     n = len(draws)
-    zk, zq = draws[:, k], draws[:, q]
-    hk = zk.std(ddof=1) * n ** (-1.0 / 6.0)
-    hq = zq.std(ddof=1) * n ** (-1.0 / 6.0)
-    kern = np.exp(-0.5 * (zk / hk) ** 2) * np.exp(-0.5 * (zq / hq) ** 2)
-    return 4.0 * float(kern.mean()) / (2.0 * math.pi * hk * hq)
+    h = draws.std(axis=0, ddof=1) * n ** (-1.0 / 6.0)
+    kern = np.exp(-0.5 * (draws / h) ** 2)
+    f = 4.0 * (kern.T @ kern) / n / (2.0 * math.pi * np.outer(h, h))
+    np.fill_diagonal(f, 0.0)
+    return f
 
 
 @dataclass(frozen=True)
@@ -262,32 +261,21 @@ def second_moment_formula(
     sigma = spec.covariance
     d = spec.d
     if fkq_mode == "lower-bound-2-over-pi":
-        f_lookup = {(k, q): 2.0 / math.pi for k in range(d) for q in range(d) if q != k}
+        f = np.full((d, d), 2.0 / math.pi)
+        np.fill_diagonal(f, 0.0)
         f_report: dict | float = 2.0 / math.pi
     elif fkq_mode == "mc-estimate":
         if draws is None:
             raise ValueError("mc-estimate mode needs orthant-conditioned draws")
-        f_lookup = {}
-        for k in range(d):
-            for q in range(d):
-                if q != k:
-                    key = (min(k, q), max(k, q))
-                    if key not in f_lookup:
-                        f_lookup[key] = _pair_density_at_origin(draws, *key)
-                    f_lookup[(k, q)] = f_lookup[key]
-        f_report = {f"{k},{q}": v for (k, q), v in f_lookup.items() if k < q}
+        f = _pair_densities_at_origin(draws)
+        f_report = {f"{k},{q}": float(f[k, q]) for k in range(d) for q in range(k + 1, d)}
     else:
         raise ValueError(f"unknown fkq mode {fkq_mode!r}")
-    values = np.empty(d)
-    for i in range(d):
-        total = sigma[i, i]
-        for k in range(d):
-            for q in range(d):
-                if q == k:
-                    continue
-                g = sigma[i, k] * (sigma[i, q] - sigma[k, q] * sigma[i, k] / sigma[k, k])
-                total += g * f_lookup[(k, q)]
-        values[i] = total
+    # sum_kq g_ikq F_kq with g_ikq = sigma_ik sigma_iq - sigma_ik^2 sigma_kq / sigma_kk.
+    diag = np.diag(sigma)
+    corrections = ((sigma @ f) * sigma).sum(axis=1)
+    corrections -= (sigma * sigma) @ ((f * sigma).sum(axis=1) / diag)
+    values = diag + corrections
     return SecondMomentEvaluation(values=values, mode=fkq_mode, f_at_origin=f_report)
 
 
@@ -306,7 +294,7 @@ def equicorrelated_g_sum(d: int) -> float:
     u = 3 * d - 1
     v = 3 * d - 2
     case1 = (d - 1) * (d - 2) * scale_sq / u**2 * (1.0 + 1.0 / v)
-    case3 = -(d - 1) * scale_sq / u * (1.0 - 1.0 / u - 1.0 / v)
+    case3 = -(d - 1) * scale_sq / u * (1.0 - 1.0 / u - 1.0 / (u * v))
     return case1 + case3  # the k = i case contributes zero
 
 

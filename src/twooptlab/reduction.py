@@ -30,7 +30,13 @@ from fractions import Fraction
 from itertools import product
 
 from .census import count_two_optimal_exact, two_optimal_tours
-from .core import ENUMERATION_CAP, Instance, enumerate_canonical_tours, pair_count
+from .core import (
+    ENUMERATION_CAP,
+    Instance,
+    check_enumeration_cap,
+    enumerate_canonical_tours,
+    pair_count,
+)
 from .errors import CapExceededError, SingularMatrixError
 from .rational import bareiss_determinant, rank_exact, solve_exact
 
@@ -147,13 +153,10 @@ def verify_no_nonedge_characterization(
     g: BaseGraph, params: ReductionParams, cap: int = EXHAUSTIVE_CAP
 ) -> bool:
     """Exhaustively check: 2-optimal tours == tours avoiding penalty edges."""
-    n = g.nv + params.m
-    if n > cap:
-        raise CapExceededError(f"exhaustive check needs nv+m <= {cap}, got {n}")
     inst = build_reduction_instance(g, params)
     # Both sides come out in lexicographic order, so list equality is set equality.
     avoiding = [
-        t for t in enumerate_canonical_tours(n, cap=cap) if not _contains_non_edge(t.order, g)
+        t for t in enumerate_canonical_tours(inst.n, cap=cap) if not _contains_non_edge(t.order, g)
     ]
     return list(two_optimal_tours(inst, cap=cap)) == avoiding
 
@@ -207,9 +210,6 @@ def tour_segments(order: tuple[int, ...], nv: int) -> frozenset[tuple[int, ...]]
 
 def cover_census(g: BaseGraph, params: ReductionParams, cap: int = EXHAUSTIVE_CAP) -> dict:
     """2-optimal tour counts keyed by the path cover each tour restricts to."""
-    n = g.nv + params.m
-    if n > cap:
-        raise CapExceededError(f"exhaustive cover census needs nv+m <= {cap}, got {n}")
     inst = build_reduction_instance(g, params)
     counts: dict[frozenset, int] = {}
     for tour in two_optimal_tours(inst, cap=cap):
@@ -389,12 +389,9 @@ def recover_corrected_counts(b, nv: int) -> RecoveryResult:
 
 def census_vector(g: BaseGraph, cap: int = ENUMERATION_CAP) -> list[int]:
     """2-optimal tour counts of the reduction instances for m = nv+1 .. 2nv."""
+    check_enumeration_cap(3 * g.nv, cap)  # the m = 2nv instance; refuse before any census
     b = []
     for m in range(g.nv + 1, 2 * g.nv + 1):
-        if g.nv + m > cap:
-            raise CapExceededError(
-                f"census of the m={m} instance needs {g.nv + m} <= {cap} vertices"
-            )
         inst = build_reduction_instance(g, default_params(g.nv, m))
         b.append(count_two_optimal_exact(inst, cap=cap))
     return b

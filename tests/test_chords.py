@@ -55,6 +55,15 @@ def test_duplicated_move_is_not_chord_disjoint():
         stage_of_move=(1, 1),
     )
     assert not verify_chord_disjoint(s)
+    # Distinct moves whose only shared chord is the later move's second one:
+    # (1, 4) adds {1, 4} and {2, 5}; (0, 3) adds {0, 3} and {1, 4}.
+    s = ChordDisjointSet(
+        n=9,
+        moves=(TwoChange(1, 4), TwoChange(0, 3)),
+        k_by_edge=(1, 1, 0, 1, 1, 0, 0, 0, 0),
+        stage_of_move=(1, 1),
+    )
+    assert not verify_chord_disjoint(s)
 
 
 def test_spectrum_hand_values():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from twooptlab import (
     CovarianceSpec,
@@ -162,6 +163,52 @@ def test_second_moment_formula_matches_sampled_moments_d3():
     assert np.all(np.abs(evaluated - diag) <= tol)
 
 
+def test_second_moment_formula_matches_reference_loop():
+    # Per-pair KDE and the triple sum over g_ikq, written out term by term, on
+    # a covariance with no symmetry between coordinates.
+    precision = np.array(
+        [
+            [1.0, 0.3, -0.2, 0.1, 0.0],
+            [0.3, 1.5, 0.25, -0.1, 0.2],
+            [-0.2, 0.25, 0.8, 0.05, -0.15],
+            [0.1, -0.1, 0.05, 1.2, 0.3],
+            [0.0, 0.2, -0.15, 0.3, 0.9],
+        ]
+    )
+    spec = CovarianceSpec.from_precision(precision)
+    draws = truncated_moments_mc(spec, 3_000, seed=25, workers=2).draws
+    n, d = draws.shape
+    sigma = spec.covariance
+
+    def pair_density(k, q):
+        zk, zq = draws[:, k], draws[:, q]
+        hk = zk.std(ddof=1) * n ** (-1.0 / 6.0)
+        hq = zq.std(ddof=1) * n ** (-1.0 / 6.0)
+        kern = np.exp(-0.5 * (zk / hk) ** 2) * np.exp(-0.5 * (zq / hq) ** 2)
+        return 4.0 * float(kern.mean()) / (2.0 * math.pi * hk * hq)
+
+    pairs = [(k, q) for k in range(d) for q in range(k + 1, d)]
+    kde = {(k, q): pair_density(k, q) for k, q in pairs}
+    kde.update({(q, k): v for (k, q), v in kde.items()})
+    lower = {(k, q): 2.0 / math.pi for k in range(d) for q in range(d)}
+    for mode, f in (("mc-estimate", kde), ("lower-bound-2-over-pi", lower)):
+        expected = [
+            sigma[i, i]
+            + sum(
+                sigma[i, k] * (sigma[i, q] - sigma[k, q] * sigma[i, k] / sigma[k, k]) * f[(k, q)]
+                for k in range(d)
+                for q in range(d)
+                if q != k
+            )
+            for i in range(d)
+        ]
+        result = second_moment_formula(spec, mode, draws=draws)
+        assert result.values == pytest.approx(expected, rel=1e-12)
+    mc = second_moment_formula(spec, "mc-estimate", draws=draws).f_at_origin
+    assert list(mc) == [f"{k},{q}" for k, q in pairs]
+    assert list(mc.values()) == pytest.approx([kde[pair] for pair in pairs], rel=1e-12)
+
+
 def test_second_moment_formula_requires_draws_for_mc_mode():
     with pytest.raises(ValueError):
         second_moment_formula(equicorrelated_spec(3), "mc-estimate")
@@ -206,3 +253,23 @@ def test_g_sum_is_negative_and_converges():
     for d in (2, 3, 8, 64, 512):
         assert equicorrelated_g_sum(d) < 0.0
     assert equicorrelated_g_sum(10_000) == pytest.approx(-2 / 9, abs=1e-3)
+
+
+def test_g_sum_closed_form_matches_dense_sum():
+    # sum over k != q of g_0kq, term by term from the dense covariance.
+    for d in list(range(2, 65)) + [200]:
+        sigma = equicorrelated_spec(d).covariance
+        row = sigma[0]
+        g = row[:, None] * (row[None, :] - sigma * row[:, None] / np.diag(sigma)[:, None])
+        np.fill_diagonal(g, 0.0)
+        assert equicorrelated_g_sum(d) == pytest.approx(math.fsum(g.ravel()), rel=1e-12), d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 12, 16])
+def test_reduced_bound_against_genz_qmc(d):
+    spec = equicorrelated_spec(d)
+    mvn = stats.multivariate_normal(cov=spec.covariance, seed=0, abseps=1e-7, releps=1e-7)
+    genz = mvn.cdf(np.full(d, np.inf), lower_limit=np.zeros(d))
+    assert math.log(genz) <= reduced_orthant_bound(d)
+    lower = second_moment_formula(spec, "lower-bound-2-over-pi").values
+    assert orthant_moment_bound(spec, lower) == pytest.approx(reduced_orthant_bound(d), rel=1e-12)

@@ -13,6 +13,8 @@ from twooptlab import (
     pair_count,
     pair_index,
     random_instance,
+    truncated_moments_mc,
+    verify_chord_disjoint,
 )
 from twooptlab.orthants import _gibbs_orthant_draws
 from twooptlab.polytopes import Polytope, _hit_and_run_chains
@@ -171,6 +173,9 @@ def test_chain_parameters_read_by_the_benchmark_tracer():
     assert tele["burn_in"].default == 0
     gibbs = inspect.signature(_gibbs_orthant_draws).parameters
     assert gibbs["burn_in"].default == 1000 and gibbs["thin"].default == 10
+    moments = inspect.signature(truncated_moments_mc).parameters
+    assert {"spec", "accepted_samples", "workers", "sampler"} <= set(moments)
+    assert {"s"} <= set(inspect.signature(verify_chord_disjoint).parameters)
 
 
 def test_telescoping_rejects_tiny_phase_budget():

@@ -83,6 +83,8 @@ def test_no_nonedge_characterization_small_bases():
 def test_no_nonedge_cap():
     with pytest.raises(CapExceededError):
         verify_no_nonedge_characterization(P4, default_params(4, 6))
+    with pytest.raises(CapExceededError):
+        cover_census(P4, default_params(4, 6))
 
 
 def test_all_tours_two_optimal_when_base_complete():
