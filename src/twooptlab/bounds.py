@@ -22,6 +22,7 @@ from .rng import mc_batches
 # sqrt(pi/2) * exp(-1/(9 pi)): base of the per-tour probability bound.
 BOUND_CONSTANT = math.sqrt(math.pi / 2.0) * math.exp(-1.0 / (9.0 * math.pi))
 EXPECTED_COUNT_BASE = 1.2098
+INTERACTION_BATCH = 100_000  # samples per numpy batch in the interaction estimator
 
 
 def interaction_matrix(s: ChordDisjointSet) -> tuple[np.ndarray, list[int]]:
@@ -44,7 +45,7 @@ def interaction_values(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def estimate_interaction_factor(
-    s: ChordDisjointSet, samples: int, seed: int, workers: int = 1, batch: int = 100_000
+    s: ChordDisjointSet, samples: int, seed: int, workers: int = 1
 ) -> MCEstimate:
     """Mean interaction weight over i.i.d. unit half-normal edge variables."""
     if samples < 1:
@@ -54,7 +55,8 @@ def estimate_interaction_factor(
     a, _ = interaction_matrix(s)
     total = 0.0
     total_sq = 0.0
-    for stream, m in mc_batches(seed, f"interaction-factor:{s.n}", samples, workers, batch):
+    for stream, m in mc_batches(seed, f"interaction-factor:{s.n}", samples, workers,
+                                 INTERACTION_BATCH):
         x = np.abs(stream.standard_normal((m, a.shape[0])))
         vals = interaction_values(a, x)
         total += float(vals.sum())
@@ -125,7 +127,13 @@ def counting_bounds(n: int, samples: int = 200_000, seed: int = 0, workers: int 
 
 
 def interaction_slope(ns, samples: int, seed: int, workers: int = 1) -> dict:
-    """Least-squares slope of log interaction estimates against n."""
+    """Least-squares slope of log interaction estimates against n.
+
+    ``implied_base`` is exp(-slope), the base b of the fitted b^-n decay.
+    """
+    ns = list(ns)
+    if len(set(ns)) < 2:
+        raise ValueError(f"a slope needs at least two distinct sizes, got {ns}")
     logs = []
     for n in ns:
         est = estimate_interaction_factor(
@@ -136,16 +144,20 @@ def interaction_slope(ns, samples: int, seed: int, workers: int = 1) -> dict:
     ys = np.array([row[1] for row in logs])
     slope, intercept = np.polyfit(xs, ys, 1)
     return {
-        "ns": list(ns),
+        "ns": ns,
         "log_estimates": [row[1] for row in logs],
         "stderrs": [row[2].stderr / row[2].estimate for row in logs],
         "slope": float(slope),
         "intercept": float(intercept),
+        "implied_base": math.exp(-float(slope)),
     }
 
 
 def figure_sweep(ns, samples: int, seed: int, workers: int = 1) -> list[dict]:
     """Volume-vs-reference rows for the decay plot of the fixed-tour probability."""
+    ns = list(ns)
+    if not ns:
+        raise ValueError("the figure sweep needs at least one size, got an empty range")
     rows = []
     for n in ns:
         est = estimate_volume_rejection(build_two_opt_polytope(n), samples, seed + n, workers=workers)

@@ -176,6 +176,8 @@ def transition_stats(graph: TransitionGraph, walks: int = 1000, seed: int = 0) -
     Walks start from uniform random nodes and pick an improving arc uniformly
     at random until they reach a sink.  A cyclic arc set raises ValueError.
     """
+    if walks < 0:
+        raise ValueError(f"walks must be >= 0, got {walks}")
     adj = graph.out_adjacency()
     sinks = sum(1 for targets in adj if not targets)
 

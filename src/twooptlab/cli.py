@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bounds import counting_bounds, estimate_interaction_factor, figure_sweep
+from .bounds import counting_bounds, estimate_interaction_factor, figure_sweep, interaction_slope
 from .census import build_transition_graph, count_two_optimal_exact, transition_stats
 from .chords import (
     build_chord_disjoint_set,
@@ -218,6 +218,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def cmd_slope(args) -> int:
+    result = interaction_slope(args.ns, _samples(args, 1_000_000), args.seed, workers=args.workers)
+    _emit_json({"manifest": _manifest("slope", args), **result}, args.out)
+    return 0
+
+
 def cmd_orthant(args) -> int:
     spec = equicorrelated_spec(args.d) if args.equicorrelated else identity_spec(args.d)
     mc = orthant_prob_mc(spec, _samples(args, 200_000), args.seed, workers=args.workers)
@@ -321,6 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[common], help="counting bound table")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_bounds)
+
+    p = sub.add_parser("slope", parents=[common], help="interaction-factor decay rate")
+    p.add_argument("--ns", type=int, nargs="+", default=[17, 33, 65])
+    p.set_defaults(func=cmd_slope)
 
     p = sub.add_parser("orthant", parents=[common], help="orthant probability suite")
     p.add_argument("--d", type=int, required=True)

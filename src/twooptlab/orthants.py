@@ -27,6 +27,8 @@ from .rng import mc_batches
 
 REJECTION_DIM_CAP = 8
 MIN_ACCEPT_RATE = 1e-4
+ORTHANT_MC_BATCH = 200_000  # normal draws per numpy batch in orthant_prob_mc
+REJECTION_DRAW_BATCH = 100_000  # proposals per batch when sampling the truncated normal
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,8 @@ class CovarianceSpec:
     def from_precision(cls, precision, closed_form: dict | None = None) -> "CovarianceSpec":
         precision = np.asarray(precision, dtype=float)
         d = precision.shape[0]
+        if d < 1:
+            raise ValueError(f"need d >= 1, got d={d}")
         if precision.shape != (d, d):
             raise ValueError("precision must be square")
         if not np.allclose(precision, precision.T, atol=1e-12):
@@ -102,13 +106,12 @@ class MCEstimate:
         return {"estimate": self.estimate, "stderr": self.stderr, "samples": self.samples}
 
 
-def orthant_prob_mc(spec: CovarianceSpec, samples: int, seed: int, workers: int = 1,
-                    batch: int = 200_000) -> MCEstimate:
+def orthant_prob_mc(spec: CovarianceSpec, samples: int, seed: int, workers: int = 1) -> MCEstimate:
     """Monte-Carlo positive orthant probability via the covariance factor."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hits = 0
-    for stream, m in mc_batches(seed, "orthant-mc", samples, workers, batch):
+    for stream, m in mc_batches(seed, "orthant-mc", samples, workers, ORTHANT_MC_BATCH):
         z = stream.standard_normal((m, spec.d)) @ spec.chol_covariance.T
         hits += int(np.all(z > 0.0, axis=1).sum())
     est = hits / samples
@@ -130,18 +133,17 @@ class TruncatedMoments:
         return np.diag(self.matrix).copy()
 
 
-def _rejection_orthant_draws(spec: CovarianceSpec, count: int, rng,
-                             batch: int = 100_000):
+def _rejection_orthant_draws(spec: CovarianceSpec, count: int, rng):
     draws = []
     attempted = 0
     accepted = 0
     while accepted < count:
-        z = rng.standard_normal((batch, spec.d)) @ spec.chol_covariance.T
+        z = rng.standard_normal((REJECTION_DRAW_BATCH, spec.d)) @ spec.chol_covariance.T
         keep = z[np.all(z > 0.0, axis=1)]
-        attempted += batch
+        attempted += REJECTION_DRAW_BATCH
         accepted += len(keep)
         draws.append(keep)
-        if attempted >= 10 * batch and accepted / attempted < MIN_ACCEPT_RATE:
+        if attempted >= 10 * REJECTION_DRAW_BATCH and accepted / attempted < MIN_ACCEPT_RATE:
             return None, accepted / attempted
     return np.vstack(draws)[:count], accepted / attempted
 

@@ -25,6 +25,8 @@ import numpy as np
 from .core import move_quadruples, pair_count, pair_index
 from .rng import mc_batches, split_budget, substream
 
+REJECTION_BATCH = 200_000  # box points per numpy batch in rejection sampling
+
 
 @dataclass(frozen=True)
 class Polytope:
@@ -91,7 +93,7 @@ class VolumeEstimate:
 
 
 def estimate_volume_rejection(
-    p: Polytope, samples: int, seed: int, workers: int = 1, batch: int = 200_000
+    p: Polytope, samples: int, seed: int, workers: int = 1
 ) -> VolumeEstimate:
     """Fraction of uniform box points satisfying every row."""
     if samples < 1:
@@ -100,7 +102,8 @@ def estimate_volume_rejection(
         return VolumeEstimate(estimate=1.0, stderr=0.0, samples=samples, method="rejection")
     a, b = p.dense()
     hits = 0
-    for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, batch):
+    for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers,
+                                 REJECTION_BATCH):
         u = stream.random((m, p.dim))
         hits += int(np.all(u @ a.T <= b, axis=1).sum())
     est = hits / samples

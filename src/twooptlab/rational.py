@@ -7,29 +7,43 @@ from fractions import Fraction
 from .errors import SingularMatrixError
 
 
+def _row_reduce(matrix, cols: int) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan elimination over the first ``cols`` columns, over rationals.
+
+    Returns the reduced rows, the pivot columns in increasing order, and the
+    product of the pivots times the sign of the row swaps; that product is 0
+    as soon as a column has no pivot, so for a square matrix it is the
+    determinant.
+    """
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        inv = rows[rank][col]
+        det *= inv
+        rows[rank] = [x / inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots, det
+
+
 def bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant of an integer matrix."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    m = [[int(x) for x in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return int(_row_reduce(matrix, n)[2])
 
 
 def solve_exact(matrix, rhs) -> list[Fraction]:
@@ -37,40 +51,15 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("need a square matrix and a matching right-hand side")
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError(f"exact pivot vanished in column {col}")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n] for row in a]
+    rows, pivots, _ = _row_reduce([list(row) + [b] for row, b in zip(matrix, rhs)], n)
+    if len(pivots) < n:
+        col = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrixError(f"exact pivot vanished in column {col}")
+    return [row[n] for row in rows]
 
 
 def rank_exact(matrix) -> int:
     """Exact rank over rationals."""
     if not matrix:
         return 0
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    cols = len(rows[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_row_reduce(matrix, len(matrix[0]))[1])

@@ -81,14 +81,6 @@ class BaseGraph:
             nv = top + 1
         return cls.from_edges(nv, edges)
 
-    def non_edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for u in range(self.nv)
-            for v in range(u + 1, self.nv)
-            if (u, v) not in self.edges
-        ]
-
     def neighbours(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in range(self.nv)}
         for u, v in self.edges:
@@ -317,21 +309,44 @@ class RecoveryResult:
         }
 
 
-def recover_path_cover_counts(b, nv: int) -> RecoveryResult:
-    """Solve the paper model's transposed system exactly for the cover counts."""
+def _recover(model: str, b, nv: int, columns, coefficient) -> RecoveryResult:
+    """Solve sum_col coefficient(*col, m) * a_col = b_m, m = nv+1..2nv, exactly.
+
+    One equation per m and one unknown per column.  A system with more
+    unknowns than equations, or with proportional columns, is reported as
+    rank-deficient, never papered over.
+    """
     if len(b) != nv:
         raise ValueError(f"need {nv} census values, got {len(b)}")
-    c = coefficient_matrix(nv)
-    transposed = [[c[row][col] for row in range(nv)] for col in range(nv)]
-    a = tuple(solve_exact(transposed, list(b)))
+    b = tuple(int(x) for x in b)
+    matrix = [[coefficient(*col, m) for col in columns] for m in range(nv + 1, 2 * nv + 1)]
+    if len(columns) != nv or rank_exact(matrix) < len(columns):
+        return RecoveryResult(
+            model=model,
+            b=b,
+            a=None,
+            full_rank=False,
+            integral=False,
+            nonnegative=False,
+            detail=(
+                f"{len(columns)} stratified unknowns vs {nv} measurements; "
+                "system is rank-deficient"
+            ),
+        )
+    a = tuple(solve_exact(matrix, list(b)))
     return RecoveryResult(
-        model="paper",
-        b=tuple(int(x) for x in b),
+        model=model,
+        b=b,
         a=a,
         full_rank=True,
         integral=all(x.denominator == 1 for x in a),
         nonnegative=all(x >= 0 for x in a),
     )
+
+
+def recover_path_cover_counts(b, nv: int) -> RecoveryResult:
+    """Paper-model recovery: one unknown per cover size 1..nv."""
+    return _recover("paper", b, nv, [(size,) for size in range(1, nv + 1)], cover_coefficient)
 
 
 def feasible_size_profiles(nv: int) -> list[tuple[int, int]]:
@@ -348,42 +363,13 @@ def feasible_size_profiles(nv: int) -> list[tuple[int, int]]:
 
 
 def recover_corrected_counts(b, nv: int) -> RecoveryResult:
-    """Corrected-model recovery over size/non-singleton-stratified unknowns.
+    """Corrected-model recovery: one unknown per feasible (size, q) profile.
 
-    The system has one equation per m and one unknown per feasible
-    (size, q) profile.  Whenever some size admits several q values the
-    profile columns are proportional and the system is rank-deficient; that
-    is reported, never papered over.
+    Whenever some size admits several q values the profile columns are
+    proportional and the system is rank-deficient.
     """
-    if len(b) != nv:
-        raise ValueError(f"need {nv} census values, got {len(b)}")
-    profiles = feasible_size_profiles(nv)
-    matrix = [
-        [corrected_cover_coefficient(size, q, nv + row + 1) for size, q in profiles]
-        for row in range(nv)
-    ]
-    b = tuple(int(x) for x in b)
-    if len(profiles) != nv or rank_exact(matrix) < len(profiles):
-        return RecoveryResult(
-            model="corrected",
-            b=b,
-            a=None,
-            full_rank=False,
-            integral=False,
-            nonnegative=False,
-            detail=(
-                f"{len(profiles)} stratified unknowns vs {nv} measurements; "
-                "system is rank-deficient"
-            ),
-        )
-    a = tuple(solve_exact(matrix, list(b)))
-    return RecoveryResult(
-        model="corrected",
-        b=b,
-        a=a,
-        full_rank=True,
-        integral=all(x.denominator == 1 for x in a),
-        nonnegative=all(x >= 0 for x in a),
+    return _recover(
+        "corrected", b, nv, feasible_size_profiles(nv), corrected_cover_coefficient
     )
 
 

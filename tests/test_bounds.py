@@ -122,6 +122,13 @@ def test_interaction_slope_structure():
     assert res["ns"] == [9, 17]
     assert res["slope"] < 0.0
     assert len(res["log_estimates"]) == 2
+    assert res["implied_base"] == math.exp(-res["slope"])
+
+
+def test_interaction_slope_refuses_fewer_than_two_sizes():
+    for ns in ([17], [17, 17]):
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            interaction_slope(ns, samples=1000, seed=0)
 
 
 def test_quadratic_tail_bound_spot_check():

@@ -1,9 +1,14 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
-from twooptlab.cli import main
+import pytest
+
+from twooptlab import interaction_slope
+from twooptlab.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -168,6 +173,44 @@ def test_bounds_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdicts"]["chain_at_most_product_factor"]
+
+
+def test_slope_command_is_reproducible_and_matches_library(tmp_path, capsys):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        argv = ["slope", "--ns", "9", "17", "--samples", "20000", "--seed", "7", "--out", str(path)]
+        assert run_cli(argv, capsys)[0] == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    payload = json.loads(paths[0].read_text())
+    assert payload.pop("manifest")["command"] == "slope"
+    assert payload == interaction_slope([9, 17], samples=20_000, seed=7)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["tgraph", "--n", "6", "--walks", "-3"], "walks"),
+        (["figure", "--n-min", "10", "--n-max", "5"], "empty range"),
+        (["orthant", "--d", "0"], "d=0"),
+        (["slope", "--ns", "17", "--samples", "1000"], "two distinct sizes"),
+    ],
+    ids=["negative-walks", "empty-figure-range", "zero-dimension", "single-slope-size"],
+)
+def test_bad_inputs_emit_error(argv, reason, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert reason in payload["reason"]
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [line for line in readme.read_text().splitlines() if line.startswith("twooptlab ")]
+    assert commands
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_orthant_command(capsys):
