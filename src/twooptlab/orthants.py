@@ -12,6 +12,12 @@ is the worst case extracted from the chord-disjoint construction; its
 covariance and determinant have closed forms, and plugging the 2/pi lower
 bound on the pair densities into the second-moment identity gives a fully
 finite-d evaluable bound of order 2^(-d) exp(-2d / (9 pi)).
+
+Conditioned moments are sampled exactly by rejection up to dimension 8: the
+proposal is i.i.d. half-normals with precision lam I, lam the smallest
+eigenvalue of the precision P, accepted with probability
+exp(-x'(P - lam I)x / 2).  Beyond dimension 8, or when that acceptance
+collapses, a coordinate-update Gibbs chain takes over.
 """
 
 from __future__ import annotations
@@ -20,15 +26,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import NotPositiveDefiniteError
 from .rng import mc_batches
 
 REJECTION_DIM_CAP = 8
 MIN_ACCEPT_RATE = 1e-4
+GIBBS_TAIL_SWITCH = 5.0  # standardised depth where the chain's quantile moves to log space
 ORTHANT_MC_BATCH = 200_000  # normal draws per numpy batch in orthant_prob_mc
-REJECTION_DRAW_BATCH = 100_000  # proposals per batch when sampling the truncated normal
+REJECTION_DRAW_BATCH = 100_000  # most proposals per batch when sampling the truncated normal
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,8 @@ class CovarianceSpec:
 
 
 def identity_spec(d: int) -> CovarianceSpec:
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     return CovarianceSpec.from_precision(np.eye(d))
 
 
@@ -134,18 +143,45 @@ class TruncatedMoments:
 
 
 def _rejection_orthant_draws(spec: CovarianceSpec, count: int, rng):
+    """Exact orthant-conditioned draws by rejection from a half-normal proposal.
+
+    With precision P and lam its smallest eigenvalue, the target density on
+    the positive orthant is proportional to exp(-x'Px / 2) = exp(-lam|x|^2 / 2)
+    * exp(-x'(P - lam I)x / 2).  The first factor is i.i.d. half-normals of
+    variance 1/lam; P - lam I is positive semi-definite, so the second factor
+    is at most 1 and serves as the acceptance probability (accept when a
+    standard exponential is at least x'(P - lam I)x / 2).  The accepted points
+    are exact i.i.d. draws of N(0, P^-1) conditioned on the positive orthant.
+
+    Each batch is sized for the draws still missing at the rate observed so
+    far, capped at ``REJECTION_DRAW_BATCH``; the first batch assumes every
+    proposal is accepted.  Once ``10 * REJECTION_DRAW_BATCH`` proposals have
+    accepted fewer than ``MIN_ACCEPT_RATE`` of them, returns ``(None, rate)``
+    and the caller switches to the coordinate chain.  That is the weak case
+    of this proposal: a precision with a tiny eigenvalue (strongly positively
+    correlated coordinates) is poorly dominated by the isotropic half-normal.
+    """
+    lam = float(np.linalg.eigvalsh(spec.precision)[0])
+    excess = spec.precision - lam * np.eye(spec.d)
+    scale = 1.0 / math.sqrt(lam)
     draws = []
     attempted = 0
     accepted = 0
+    batch = count
     while accepted < count:
-        z = rng.standard_normal((REJECTION_DRAW_BATCH, spec.d)) @ spec.chol_covariance.T
-        keep = z[np.all(z > 0.0, axis=1)]
-        attempted += REJECTION_DRAW_BATCH
+        x = np.abs(rng.standard_normal((batch, spec.d))) * scale
+        half_quad = 0.5 * ((x @ excess) * x).sum(axis=1)
+        keep = x[rng.standard_exponential(batch) >= half_quad]
+        attempted += batch
         accepted += len(keep)
         draws.append(keep)
-        if attempted >= 10 * REJECTION_DRAW_BATCH and accepted / attempted < MIN_ACCEPT_RATE:
-            return None, accepted / attempted
-    return np.vstack(draws)[:count], accepted / attempted
+        rate = accepted / attempted
+        if attempted >= 10 * REJECTION_DRAW_BATCH and rate < MIN_ACCEPT_RATE:
+            return None, rate
+        missing = count - accepted  # 10% over the expected need: one batch usually ends it
+        batch = REJECTION_DRAW_BATCH if accepted == 0 else min(
+            REJECTION_DRAW_BATCH, math.ceil(1.1 * missing / rate))
+    return np.vstack(draws)[:count], rate
 
 
 def _gibbs_orthant_draws(spec: CovarianceSpec, count: int, rng,
@@ -155,6 +191,10 @@ def _gibbs_orthant_draws(spec: CovarianceSpec, count: int, rng,
     Each sweep draws its d uniforms at once and maps them to [1 - alpha, 1)
     as ``Generator.uniform(1 - alpha, 1)`` would; the arithmetic runs on
     Python floats, so the draws match a per-coordinate ``uniform`` call.
+    Deep in the upper tail (standardised conditional mean below
+    ``-GIBBS_TAIL_SWITCH``, tail mass alpha < 3e-7) 1 - alpha rounds toward
+    1 and that quantile overflows to inf, then NaN; there the same quantile
+    is taken from log(alpha (1 - u)) with ``log_ndtr`` and ``ndtri_exp``.
     """
     prec = spec.precision
     diag = [float(v) for v in np.diag(prec)]
@@ -166,8 +206,13 @@ def _gibbs_orthant_draws(spec: CovarianceSpec, count: int, rng,
     for sweep in range(1, sweeps + 1):
         for i, u in enumerate(rng.random(spec.d).tolist()):
             mu = -(float(prec[i] @ x) - diag[i] * float(x[i])) / diag[i]
-            low = 1.0 - float(ndtr(mu / cond_sd[i]))  # 1 - P(conditional > 0)
-            v = mu + cond_sd[i] * float(ndtri(low + (1.0 - low) * u))
+            t = mu / cond_sd[i]
+            if t > -GIBBS_TAIL_SWITCH:
+                low = 1.0 - float(ndtr(t))  # 1 - P(conditional > 0)
+                z = float(ndtri(low + (1.0 - low) * u))
+            else:
+                z = -float(ndtri_exp(float(log_ndtr(t)) + math.log1p(-u)))
+            v = mu + cond_sd[i] * z
             if v <= 0.0:  # guard against rounding at the boundary
                 v = 1e-12
             x[i] = v

@@ -192,9 +192,11 @@ def test_slope_command_is_reproducible_and_matches_library(tmp_path, capsys):
         (["tgraph", "--n", "6", "--walks", "-3"], "walks"),
         (["figure", "--n-min", "10", "--n-max", "5"], "empty range"),
         (["orthant", "--d", "0"], "d=0"),
+        (["orthant", "--d", "-1"], "d=-1"),
         (["slope", "--ns", "17", "--samples", "1000"], "two distinct sizes"),
     ],
-    ids=["negative-walks", "empty-figure-range", "zero-dimension", "single-slope-size"],
+    ids=["negative-walks", "empty-figure-range", "zero-dimension", "negative-dimension",
+         "single-slope-size"],
 )
 def test_bad_inputs_emit_error(argv, reason, capsys):
     code, out = run_cli(argv, capsys)

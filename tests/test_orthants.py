@@ -17,12 +17,30 @@ from twooptlab import (
     truncated_moments_mc,
 )
 from twooptlab.orthants import (
+    MIN_ACCEPT_RATE,
     _gibbs_orthant_draws,
     amemiya_residuals,
     equicorrelated_closed_forms,
     equicorrelated_g_sum,
 )
 from twooptlab.rng import substream
+
+
+# A precision with no symmetry between coordinates and negative off-diagonals.
+ASYMMETRIC_PRECISION = np.array(
+    [
+        [1.0, 0.3, -0.2, 0.1, 0.0],
+        [0.3, 1.5, 0.25, -0.1, 0.2],
+        [-0.2, 0.25, 0.8, 0.05, -0.15],
+        [0.1, -0.1, 0.05, 1.2, 0.3],
+        [0.0, 0.2, -0.15, 0.3, 0.9],
+    ]
+)
+
+
+def genz_orthant(spec: CovarianceSpec) -> float:
+    mvn = stats.multivariate_normal(cov=spec.covariance, seed=0, abseps=1e-7, releps=1e-7)
+    return mvn.cdf(np.full(spec.d, np.inf), lower_limit=np.zeros(spec.d))
 
 
 def bivariate_orthant(rho: float) -> float:
@@ -104,6 +122,28 @@ def test_amemiya_identity_equicorrelated(d):
     assert np.all(np.abs(residuals) <= tol)
 
 
+def test_amemiya_identity_rejection_with_negative_off_diagonals():
+    # The half-normal proposal is exact only because P - lam I is positive
+    # semi-definite; a proposal with precision diag(P) leaves P - diag(P),
+    # which is not copositive here, and its clipped acceptance is biased.
+    spec = CovarianceSpec.from_precision(ASYMMETRIC_PRECISION)
+    moments = truncated_moments_mc(spec, 30_000, seed=26, sampler="rejection")
+    assert moments.sampler == "rejection"
+    residuals = amemiya_residuals(spec, moments)
+    tol = 3 * (np.abs(spec.precision) * moments.stderr).sum(axis=1)
+    assert np.all(np.abs(residuals) <= tol)
+
+
+def test_rejection_collapse_switches_to_gibbs():
+    # Strongly positively correlated precision: the half-normal proposal
+    # accepts (almost) nothing and the coordinate chain takes over.
+    spec = CovarianceSpec.from_precision(np.eye(8) + 10 * np.ones((8, 8)))
+    moments = truncated_moments_mc(spec, 200, seed=27, sampler="rejection")
+    assert moments.sampler == "gibbs"
+    assert moments.acceptance_rate < MIN_ACCEPT_RATE
+    assert np.all(moments.draws > 0.0)
+
+
 def test_gibbs_and_rejection_cross_validate_at_d5():
     spec = equicorrelated_spec(5)
     rej = truncated_moments_mc(spec, 15_000, seed=20, sampler="rejection")
@@ -166,16 +206,7 @@ def test_second_moment_formula_matches_sampled_moments_d3():
 def test_second_moment_formula_matches_reference_loop():
     # Per-pair KDE and the triple sum over g_ikq, written out term by term, on
     # a covariance with no symmetry between coordinates.
-    precision = np.array(
-        [
-            [1.0, 0.3, -0.2, 0.1, 0.0],
-            [0.3, 1.5, 0.25, -0.1, 0.2],
-            [-0.2, 0.25, 0.8, 0.05, -0.15],
-            [0.1, -0.1, 0.05, 1.2, 0.3],
-            [0.0, 0.2, -0.15, 0.3, 0.9],
-        ]
-    )
-    spec = CovarianceSpec.from_precision(precision)
+    spec = CovarianceSpec.from_precision(ASYMMETRIC_PRECISION)
     draws = truncated_moments_mc(spec, 3_000, seed=25, workers=2).draws
     n, d = draws.shape
     sigma = spec.covariance
@@ -233,6 +264,17 @@ def test_moment_bound_dominates_mc_truth(d):
     assert math.exp(log_bound) >= mc.estimate - 3 * mc.stderr
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [equicorrelated_spec(d) for d in range(2, 9)] + [identity_spec(d) for d in range(2, 7)],
+    ids=[f"equicorrelated-{d}" for d in range(2, 9)] + [f"identity-{d}" for d in range(2, 7)],
+)
+def test_sampled_moment_bound_against_genz_qmc(spec):
+    moments = truncated_moments_mc(spec, 20_000, seed=50 + spec.d)
+    assert moments.sampler == "rejection"
+    assert math.log(genz_orthant(spec)) <= orthant_moment_bound(spec, moments.diagonal())
+
+
 def test_reduced_bound_dominates_d2_truth():
     assert reduced_orthant_bound(2) >= math.log(bivariate_orthant(-0.25))
 
@@ -268,8 +310,6 @@ def test_g_sum_closed_form_matches_dense_sum():
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 12, 16])
 def test_reduced_bound_against_genz_qmc(d):
     spec = equicorrelated_spec(d)
-    mvn = stats.multivariate_normal(cov=spec.covariance, seed=0, abseps=1e-7, releps=1e-7)
-    genz = mvn.cdf(np.full(d, np.inf), lower_limit=np.zeros(d))
-    assert math.log(genz) <= reduced_orthant_bound(d)
+    assert math.log(genz_orthant(spec)) <= reduced_orthant_bound(d)
     lower = second_moment_formula(spec, "lower-bound-2-over-pi").values
     assert orthant_moment_bound(spec, lower) == pytest.approx(reduced_orthant_bound(d), rel=1e-12)

@@ -17,8 +17,8 @@ from twooptlab import (
     verify_chord_disjoint,
 )
 from twooptlab.orthants import _gibbs_orthant_draws
-from twooptlab.polytopes import Polytope, _hit_and_run_chains
-from twooptlab.rng import substream
+from twooptlab.polytopes import REJECTION_BATCH, Polytope, _hit_and_run_chains
+from twooptlab.rng import mc_batches, substream
 
 
 def simplex(dim: int) -> Polytope:
@@ -78,6 +78,23 @@ def test_rejection_deterministic_given_seed_and_workers():
     assert a.estimate == b.estimate
     c = estimate_volume_rejection(p, 50_000, seed=9, workers=1)
     assert abs(a.estimate - c.estimate) <= 3 * math.hypot(a.stderr, c.stderr)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_rejection_screening_counts_what_the_full_test_counts(workers):
+    # Row-block screening must count exactly the points that pass every row
+    # at once; n = 5 splits its 5 rows into blocks of 4 and 1.
+    samples, seed = 60_000, 13
+    for n in range(4, 13):
+        p = build_two_opt_polytope(n)
+        a, b = p.dense()
+        expected = 0
+        for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers,
+                                     REJECTION_BATCH):
+            u = stream.random((m, p.dim))
+            expected += int(np.all(u @ a.T <= b, axis=1).sum())
+        est = estimate_volume_rejection(p, samples, seed, workers=workers)
+        assert round(est.estimate * samples) == expected, n
 
 
 def test_telescoping_empty_polytope():
