@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
+    ALL_TOURS_CAP,
     ENUMERATION_CAP,
     Instance,
     Tour,
@@ -25,8 +26,6 @@ from .core import (
     tour_length,
 )
 from .rng import substream
-
-GRAPH_CAP = 9
 
 
 def is_two_optimal(inst: Instance, tour: Tour) -> bool:
@@ -131,10 +130,10 @@ class TransitionGraph:
         return [i for i, out in enumerate(has_out) if not out]
 
 
-def build_transition_graph(inst: Instance, cap: int = GRAPH_CAP) -> TransitionGraph:
-    """Full node and improving-arc sets; refuses n beyond the graph cap."""
+def build_transition_graph(inst: Instance) -> TransitionGraph:
+    """Full node and improving-arc sets; refuses n beyond ``ALL_TOURS_CAP``."""
     n = inst.n
-    nodes = tuple(enumerate_canonical_tours(n, cap=min(cap, GRAPH_CAP)))
+    nodes = tuple(enumerate_canonical_tours(n, cap=ALL_TOURS_CAP))
     index = {t.order: k for k, t in enumerate(nodes)}
     lengths = tuple(tour_length(inst, t) for t in nodes)
     w = inst.weight_matrix()

@@ -273,14 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--samples", type=int, default=None,
-                        help="sample budget; per-command default when omitted")
     common.add_argument("--out", type=str, default=None)
-    common.add_argument(
-        "--i-know-this-is-huge",
-        action="store_true",
-        help=f"raise enumeration caps to the hard ceiling of {ENUMERATION_HARD_CAP}",
-    )
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--samples", type=int, default=None,
+                         help="sample budget; per-command default when omitted")
+    huge = argparse.ArgumentParser(add_help=False)
+    huge.add_argument("--i-know-this-is-huge", action="store_true",
+                      help=f"raise the census cap to the hard ceiling of {ENUMERATION_HARD_CAP}")
 
     parser = argparse.ArgumentParser(prog="twooptlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("census", parents=[common], help="exact 2-optimal tour count")
+    p = sub.add_parser("census", parents=[common, huge], help="exact 2-optimal tour count")
     p.add_argument("--n", type=int)
     p.add_argument("--equal-weights", action="store_true")
     p.add_argument("--instance", type=str, default=None)
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arcs-csv", type=str, default=None)
     p.set_defaults(func=cmd_tgraph)
 
-    p = sub.add_parser("reduce", parents=[common], help="edge list -> path-cover report")
+    p = sub.add_parser("reduce", parents=[common, huge], help="edge list -> path-cover report")
     p.add_argument("--graph", type=str, required=True)
     p.add_argument("--no-verify", dest="verify", action="store_false",
                    help="emit the report without failing on model disagreement")
@@ -314,31 +313,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum-csv", type=str, default=None)
     p.set_defaults(func=cmd_construct_s)
 
-    p = sub.add_parser("estimate-vol", parents=[common], help="2-opt polytope volume")
+    p = sub.add_parser("estimate-vol", parents=[common, sampled], help="2-opt polytope volume")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=["rejection", "telescoping"], default="rejection")
     p.add_argument("--samples-per-phase", type=int, default=2000)
     p.set_defaults(func=cmd_estimate_vol)
 
-    p = sub.add_parser("estimate-g", parents=[common], help="interaction factor estimate")
+    p = sub.add_parser("estimate-g", parents=[common, sampled], help="interaction factor estimate")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_estimate_g)
 
-    p = sub.add_parser("bounds", parents=[common], help="counting bound table")
+    p = sub.add_parser("bounds", parents=[common, sampled], help="counting bound table")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("slope", parents=[common], help="interaction-factor decay rate")
+    p = sub.add_parser("slope", parents=[common, sampled], help="interaction-factor decay rate")
     p.add_argument("--ns", type=int, nargs="+", default=[17, 33, 65])
     p.set_defaults(func=cmd_slope)
 
-    p = sub.add_parser("orthant", parents=[common], help="orthant probability suite")
+    p = sub.add_parser("orthant", parents=[common, sampled], help="orthant probability suite")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--equicorrelated", action="store_true")
     p.add_argument("--moment-samples", type=int, default=20_000)
     p.set_defaults(func=cmd_orthant)
 
-    p = sub.add_parser("figure", parents=[common], help="volume decay sweep CSV")
+    p = sub.add_parser("figure", parents=[common, sampled], help="volume decay sweep CSV")
     p.add_argument("--n-min", type=int, default=5)
     p.add_argument("--n-max", type=int, default=12)
     p.set_defaults(func=cmd_figure)

@@ -19,8 +19,10 @@ from typing import Iterator, Sequence
 from .errors import CapExceededError, InvalidMoveError
 from .rng import substream
 
-ENUMERATION_CAP = 10
-ENUMERATION_HARD_CAP = 12
+# Limits on n for exhaustive tour scans; (n-1)!/2 tours grow past any budget.
+ENUMERATION_CAP = 10  # pruned 2-optimal census, by default
+ENUMERATION_HARD_CAP = 12  # pruned census under --i-know-this-is-huge
+ALL_TOURS_CAP = 9  # scans that keep or visit every tour: transition graph, reduction verifiers
 
 
 def pair_count(n: int) -> int:
@@ -106,21 +108,30 @@ class Instance:
         try:
             mode = data["mode"]
             n = _integral(data["n"], "n")
+            if not isinstance(data["weights"], list):
+                raise ValueError(f"instance key 'weights' takes a list, got {data['weights']!r}")
             weights = tuple(
-                _integral(w, "exact-mode weight") if mode == "exact" else float(w)
+                _integral(w, "weights") if mode == "exact" else float(_number(w, "weights"))
                 for w in data["weights"]
             )
         except KeyError as exc:
             raise ValueError(f"instance JSON lacks key {exc}") from exc
-        except (TypeError, OverflowError) as exc:
+        except OverflowError as exc:
             raise ValueError(f"malformed instance JSON: {exc}") from exc
         return cls(n=n, weights=weights, mode=mode, label=str(data.get("label", "")))
 
 
-def _integral(value, name: str) -> int:
+def _number(value, key: str):
+    """``value`` if it is a JSON number (an int or float, not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"instance key {key!r} takes JSON numbers, got {value!r}")
+    return value
+
+
+def _integral(value, key: str) -> int:
     """int(value) for an integral JSON number; refuses to truncate 1.7 to 1."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(_number(value, key), float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -133,8 +144,8 @@ def random_instance(n: int, seed: int) -> Instance:
     return Instance(n=n, weights=weights, mode="float", label=f"uniform(n={n},seed={seed})")
 
 
-def constant_instance(n: int, value=1, mode: str = "exact", label: str = "") -> Instance:
-    return Instance(n=n, weights=(value,) * pair_count(n), mode=mode, label=label)
+def constant_instance(n: int, value=1) -> Instance:
+    return Instance(n=n, weights=(value,) * pair_count(n), mode="exact")
 
 
 def canonicalize(order: Sequence[int]) -> tuple[int, ...]:

@@ -5,12 +5,14 @@ Fixing the reference tour (0, 1, ..., n-1), the event "this tour is
 lands in the polytope cut out of the unit box by one inequality per
 2-change: removed weights minus added weights <= 0.  The rows come from the
 shared move table ``core.move_quadruples``, the same table the exact census
-scans.  The volume of the polytope equals the probability that a fixed tour
-is 2-optimal, so the census mean over random instances divided by the tour
-count is an independent check on it.  Two estimators are kept: plain
-rejection sampling, which screens the rows in blocks of doubling width
-against the points that survived the earlier blocks, and a telescoped
-product of conditional acceptance rates.
+scans, and are written straight into one dense (rows, dim) matrix that every
+estimator reads.  The volume of the polytope equals the probability that a
+fixed tour is 2-optimal, so the census mean over random instances divided by
+the tour count is an independent check on it.  Two estimators are kept:
+plain rejection sampling, which screens the rows in blocks of doubling width
+against the points that survived the earlier blocks and bounds each batch by
+its coordinate count, and a telescoped product of conditional acceptance
+rates.
 The telescoping estimator adds one row per phase and samples each phase with
 many hit-and-run chains advanced in lock-step as one (chains, dim) array.
 Each phase's chains start at the previous phase's accepted samples, which
@@ -28,48 +30,34 @@ from .core import move_quadruples, pair_count, pair_index
 from .rng import mc_batches, split_budget, substream
 
 REJECTION_BATCH = 200_000  # box points per numpy batch in rejection sampling
+# Coordinates drawn per batch at most: the n = 12 batch (200,000 x 66, ~106 MB),
+# so larger n draws fewer points per batch instead of more memory.
+REJECTION_COORDINATES = REJECTION_BATCH * pair_count(12)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
-    """Sparse rows a.w <= rhs inside the implicit unit box [0,1]^dim."""
+    """Rows ``rows @ w <= rhs`` inside the implicit unit box [0,1]^dim.
 
-    dim: int
-    rows: tuple[tuple[tuple[tuple[int, float], ...], float], ...]
+    ``rows`` is the dense (m, dim) float matrix and ``rhs`` the (m,) vector.
+    """
 
-    @classmethod
-    def from_rows(cls, dim: int, rows) -> "Polytope":
-        frozen = tuple(
-            (tuple(sorted((int(c), float(v)) for c, v in coeffs.items())), float(rhs))
-            for coeffs, rhs in rows
-        )
-        return cls(dim=dim, rows=frozen)
+    rows: np.ndarray
+    rhs: np.ndarray
 
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        a = np.zeros((len(self.rows), self.dim))
-        b = np.zeros(len(self.rows))
-        for r, (coeffs, rhs) in enumerate(self.rows):
-            for col, val in coeffs:
-                a[r, col] = val
-            b[r] = rhs
-        return a, b
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
 
 
 def build_two_opt_polytope(n: int) -> Polytope:
     """One row per 2-change on the reference tour; n(n-3)/2 rows in total."""
-    rows = [
-        (
-            {
-                pair_index(a, b, n): 1.0,
-                pair_index(c, d, n): 1.0,
-                pair_index(a, c, n): -1.0,
-                pair_index(b, d, n): -1.0,
-            },
-            0.0,
-        )
-        for a, b, c, d in move_quadruples(n)
-    ]
-    return Polytope.from_rows(pair_count(n), rows)
+    quads = move_quadruples(n)
+    rows = np.zeros((len(quads), pair_count(n)))
+    for r, (a, b, c, d) in enumerate(quads):
+        rows[r, [pair_index(a, b, n), pair_index(c, d, n)]] = 1.0
+        rows[r, [pair_index(a, c, n), pair_index(b, d, n)]] = -1.0
+    return Polytope(rows, np.zeros(len(quads)))
 
 
 @dataclass(frozen=True)
@@ -107,15 +95,15 @@ def estimate_volume_rejection(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not p.rows:
+    if len(p.rows) == 0:
         return VolumeEstimate(estimate=1.0, stderr=0.0, samples=samples, method="rejection")
-    a, b = p.dense()
+    a, b = p.rows, p.rhs
     edges = [0]
     while edges[-1] < len(b):
         edges.append(min(len(b), 2 * edges[-1] + 4))  # blocks of 4, 8, 16, ... rows
     hits = 0
-    for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers,
-                                 REJECTION_BATCH):
+    batch = min(REJECTION_BATCH, REJECTION_COORDINATES // p.dim)
+    for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, batch):
         u = stream.random((m, p.dim))
         for first, stop in zip(edges[:-1], edges[1:]):
             u = u[np.all(u @ a[first:stop].T <= b[first:stop], axis=1)]
@@ -159,15 +147,15 @@ def _hit_and_run_chains(starts, a, b, thin, burn_in, rng):
     return x
 
 
-def _pilot_row_order(p: Polytope, seed: int, pilot: int) -> list[int]:
-    """Rows ordered by increasing acceptance impact on uniform box samples."""
-    a, b = p.dense()
-    u = substream(seed, "telescoping-pilot").random((pilot, p.dim))
-    rates = (u @ a.T <= b).mean(axis=0)
-    return sorted(range(len(p.rows)), key=lambda r: (-rates[r], r))
-
-
+TELESCOPING_PILOT = 2000  # uniform box points that rank the rows before phase 0
 TELESCOPING_LINEAGES = 10
+
+
+def _pilot_row_order(p: Polytope, seed: int) -> list[int]:
+    """Rows ordered by increasing acceptance impact on uniform box samples."""
+    u = substream(seed, "telescoping-pilot").random((TELESCOPING_PILOT, p.dim))
+    rates = (u @ p.rows.T <= p.rhs).mean(axis=0)
+    return sorted(range(len(p.rows)), key=lambda r: (-rates[r], r))
 
 
 def estimate_volume_telescoping(
@@ -176,7 +164,6 @@ def estimate_volume_telescoping(
     seed: int,
     thin: int = 50,
     burn_in: int = 0,
-    pilot: int = 2000,
 ) -> VolumeEstimate:
     """Product of conditional row-acceptance rates, one hit-and-run phase per row.
 
@@ -199,10 +186,9 @@ def estimate_volume_telescoping(
     """
     if samples_per_phase < 100:
         raise ValueError("samples_per_phase must be >= 100")
-    if not p.rows:
+    if len(p.rows) == 0:
         return VolumeEstimate(estimate=1.0, stderr=0.0, samples=0, method="telescoping")
-    a_all, b_all = p.dense()
-    order = _pilot_row_order(p, seed, pilot)
+    order = _pilot_row_order(p, seed)
     rng = substream(seed, "telescoping-chain")
     sizes = np.array(split_budget(samples_per_phase, TELESCOPING_LINEAGES))
     edges = np.concatenate([[0], np.cumsum(sizes)])
@@ -214,8 +200,8 @@ def estimate_volume_telescoping(
             samples = rng.random((samples_per_phase, p.dim))
         else:
             active = order[:phase]
-            samples = _hit_and_run_chains(starts, a_all[active], b_all[active], thin, burn_in, rng)
-        ok = samples @ a_all[row] <= b_all[row]
+            samples = _hit_and_run_chains(starts, p.rows[active], p.rhs[active], thin, burn_in, rng)
+        ok = samples @ p.rows[row] <= p.rhs[row]
         hits = int(ok.sum())
         if hits == 0:
             return VolumeEstimate(

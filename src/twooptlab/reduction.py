@@ -31,6 +31,7 @@ from itertools import product
 
 from .census import count_two_optimal_exact, two_optimal_tours
 from .core import (
+    ALL_TOURS_CAP,
     ENUMERATION_CAP,
     Instance,
     check_enumeration_cap,
@@ -40,8 +41,7 @@ from .core import (
 from .errors import CapExceededError, SingularMatrixError
 from .rational import bareiss_determinant, rank_exact, solve_exact
 
-EXHAUSTIVE_CAP = 9  # tour enumerations used by the verifiers
-COVER_CAP = 10
+COVER_CAP = 10  # base-graph vertices for path-cover enumeration
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,24 @@ class BaseGraph:
         return cls(nv=nv, edges=normalized)
 
     @classmethod
-    def from_edge_list_text(cls, text: str, nv: int | None = None) -> "BaseGraph":
+    def from_edge_list_text(cls, text: str) -> "BaseGraph":
         """Parse "u v" lines (0-indexed); blank lines and # comments ignored."""
         edges = []
         top = -1
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
+        for k, line in enumerate(text.splitlines(), 1):
+            tokens = line.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            u, v = (int(tok) for tok in line.split())
-            if u == v:
-                raise ValueError(f"self-loop {u} in edge list")
+            try:
+                u, v = map(int, tokens)
+                problem = "negative vertex label" if min(u, v) < 0 else "self-loop" if u == v else ""
+            except ValueError:
+                problem = "need two integer vertex labels"
+            if problem:
+                raise ValueError(f"edge list line {k}: {problem}, got {line.strip()!r}")
             edges.append((u, v))
             top = max(top, u, v)
-        if nv is None:
-            nv = top + 1
-        return cls.from_edges(nv, edges)
+        return cls.from_edges(top + 1, edges)
 
     def neighbours(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in range(self.nv)}
@@ -141,16 +143,13 @@ def _contains_non_edge(order: tuple[int, ...], g: BaseGraph) -> bool:
     return False
 
 
-def verify_no_nonedge_characterization(
-    g: BaseGraph, params: ReductionParams, cap: int = EXHAUSTIVE_CAP
-) -> bool:
+def verify_no_nonedge_characterization(g: BaseGraph, params: ReductionParams) -> bool:
     """Exhaustively check: 2-optimal tours == tours avoiding penalty edges."""
     inst = build_reduction_instance(g, params)
     # Both sides come out in lexicographic order, so list equality is set equality.
-    avoiding = [
-        t for t in enumerate_canonical_tours(inst.n, cap=cap) if not _contains_non_edge(t.order, g)
-    ]
-    return list(two_optimal_tours(inst, cap=cap)) == avoiding
+    tours = enumerate_canonical_tours(inst.n, cap=ALL_TOURS_CAP)
+    avoiding = [t for t in tours if not _contains_non_edge(t.order, g)]
+    return list(two_optimal_tours(inst, cap=ALL_TOURS_CAP)) == avoiding
 
 
 def cover_coefficient(size: int, m: int) -> int:
@@ -200,11 +199,11 @@ def tour_segments(order: tuple[int, ...], nv: int) -> frozenset[tuple[int, ...]]
     return canonical_cover(runs)
 
 
-def cover_census(g: BaseGraph, params: ReductionParams, cap: int = EXHAUSTIVE_CAP) -> dict:
+def cover_census(g: BaseGraph, params: ReductionParams) -> dict:
     """2-optimal tour counts keyed by the path cover each tour restricts to."""
     inst = build_reduction_instance(g, params)
     counts: dict[frozenset, int] = {}
-    for tour in two_optimal_tours(inst, cap=cap):
+    for tour in two_optimal_tours(inst, cap=ALL_TOURS_CAP):
         cover = tour_segments(tour.order, g.nv)
         counts[cover] = counts.get(cover, 0) + 1
     return counts
@@ -242,10 +241,10 @@ def _paths_through(v: int, allowed: frozenset[int], adj: dict[int, list[int]]):
     return sorted(seen)
 
 
-def enumerate_path_covers(g: BaseGraph, cap: int = COVER_CAP):
+def enumerate_path_covers(g: BaseGraph):
     """Yield every path cover of g exactly once (paths in canonical form)."""
-    if g.nv > cap:
-        raise CapExceededError(f"path-cover enumeration needs nv <= {cap}, got {g.nv}")
+    if g.nv > COVER_CAP:
+        raise CapExceededError(f"path-cover enumeration needs nv <= {COVER_CAP}, got {g.nv}")
     adj = g.neighbours()
 
     def rec(uncovered: frozenset[int]):
@@ -262,10 +261,10 @@ def enumerate_path_covers(g: BaseGraph, cap: int = COVER_CAP):
         yield canonical_cover(cover)
 
 
-def count_path_covers_bruteforce(g: BaseGraph, cap: int = COVER_CAP) -> list[int]:
+def count_path_covers_bruteforce(g: BaseGraph) -> list[int]:
     """a[l-1] = number of path covers of size l, by exhaustive enumeration."""
     counts = [0] * g.nv
-    for cover in enumerate_path_covers(g, cap=cap):
+    for cover in enumerate_path_covers(g):
         counts[len(cover) - 1] += 1
     return counts
 

@@ -167,7 +167,7 @@ def test_estimator_cross_validation():
         if tele.degenerate or gap > tol:
             ok = False
     for dim in (3, 4, 5, 6):
-        simplex = Polytope.from_rows(dim, [({i: 1.0 for i in range(dim)}, 1.0)])
+        simplex = Polytope(np.ones((1, dim)), np.ones(1))
         truth = 1.0 / math.factorial(dim)
         rej = tl.estimate_volume_rejection(simplex, 2_000_000, seed=500 + dim)
         tele = tl.estimate_volume_telescoping(simplex, 150_000, seed=600 + dim)

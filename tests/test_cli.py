@@ -75,6 +75,10 @@ def test_malformed_instance_files_emit_error(tmp_path, capsys):
         "weight_overflows_float.json": {"n": 4, "mode": "float", "weights": [10**400] * 6},
         "nested_missing_key.json": {"manifest": {}, "instance": {"mode": "float"}},
         "fractional_n.json": {"n": 5.9, "mode": "exact", "weights": [1] * 10},
+        "string_numbers.json": {"n": "5", "mode": "exact", "weights": ["3"] + [1] * 9},
+        "boolean_weight.json": {"n": 5, "mode": "exact", "weights": [True] + [1] * 9},
+        "string_float_weight.json": {"n": 4, "mode": "float", "weights": ["0.5"] + [0.5] * 5},
+        "weights_string.json": {"n": 5, "mode": "exact", "weights": "1111111111"},
     }
     for name, payload in bad.items():
         path = tmp_path / name
@@ -125,6 +129,25 @@ def test_reduce_p3_reports_both_models(tmp_path, capsys):
     assert models["corrected"]["a"] == [1, 2, 1]
     assert not models["paper"]["integral"]
     assert payload["corrected_matches_bruteforce"]
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("1 2 3", "edge list line 3: need two integer vertex labels, got '1 2 3'"),
+        ("0 x", "edge list line 3: need two integer vertex labels, got '0 x'"),
+        ("0 -1", "edge list line 3: negative vertex label, got '0 -1'"),
+    ],
+    ids=["three-labels", "non-integer", "negative"],
+)
+def test_reduce_names_the_bad_edge_list_line(line, reason, tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    edges.write_text(f"# comments and blank lines count\n\n{line}\n0 1\n")
+    code, out = run_cli(["reduce", "--graph", str(edges)], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["reason"] == reason
 
 
 def test_construct_s_n9(tmp_path, capsys):
@@ -204,6 +227,32 @@ def test_bad_inputs_emit_error(argv, reason, capsys):
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert reason in payload["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tgraph", "--n", "6", "--i-know-this-is-huge"],
+        ["census", "--n", "6", "--samples", "10"],
+        ["construct-s", "--n", "9", "--samples", "10"],
+    ],
+    ids=["tgraph-huge", "census-samples", "construct-s-samples"],
+)
+def test_flags_are_refused_where_no_subcommand_reads_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_huge_flag_is_accepted_by_census_and_reduce(tmp_path, capsys):
+    code, out = run_cli(["census", "--n", "11", "--seed", "1", "--i-know-this-is-huge"], capsys)
+    assert code == 0 and int(out) >= 1
+    edges = tmp_path / "p3.edges"
+    edges.write_text("0 1\n1 2\n")
+    code, out = run_cli(["reduce", "--graph", str(edges), "--i-know-this-is-huge"], capsys)
+    assert code == 0
+    assert json.loads(out)["manifest"]["params"]["i_know_this_is_huge"] is True
 
 
 def test_readme_commands_parse():

@@ -17,30 +17,36 @@ from twooptlab import (
     verify_chord_disjoint,
 )
 from twooptlab.orthants import _gibbs_orthant_draws
-from twooptlab.polytopes import REJECTION_BATCH, Polytope, _hit_and_run_chains
+from twooptlab import polytopes
+from twooptlab.polytopes import (
+    REJECTION_BATCH,
+    REJECTION_COORDINATES,
+    Polytope,
+    _hit_and_run_chains,
+)
 from twooptlab.rng import mc_batches, substream
 
 
 def simplex(dim: int) -> Polytope:
-    return Polytope.from_rows(dim, [({i: 1.0 for i in range(dim)}, 1.0)])
+    return Polytope(np.ones((1, dim)), np.ones(1))
 
 
 def test_two_opt_polytope_shape():
     p = build_two_opt_polytope(5)
     assert p.dim == 10
     assert len(p.rows) == 5 == len(enumerate_two_changes(5))
-    for coeffs, rhs in p.rows:
+    for row, rhs in zip(p.rows, p.rhs):
         assert rhs == 0.0
-        values = sorted(v for _, v in coeffs)
+        values = sorted(row[row != 0.0])
         assert values == [-1.0, -1.0, 1.0, 1.0]
-        assert sum(v for _, v in coeffs) == 0.0
+        assert row.sum() == 0.0
 
 
 def test_two_opt_polytope_hand_row():
     p = build_two_opt_polytope(5)
     # Removing tour-edges at positions 0 and 2 constrains w01+w23 <= w02+w13;
     # that move is first in enumeration order.
-    coeffs = dict(p.rows[0][0])
+    coeffs = p.rows[0]
     n = 5
     assert coeffs[pair_index(0, 1, n)] == 1.0
     assert coeffs[pair_index(2, 3, n)] == 1.0
@@ -49,12 +55,12 @@ def test_two_opt_polytope_hand_row():
 
 
 def test_rejection_empty_polytope_is_exactly_one():
-    est = estimate_volume_rejection(Polytope.from_rows(3, []), 100, seed=0)
+    est = estimate_volume_rejection(Polytope(np.zeros((0, 3)), np.zeros(0)), 100, seed=0)
     assert est.estimate == 1.0 and est.stderr == 0.0
 
 
 def test_rejection_halfspace_symmetry():
-    half = Polytope.from_rows(2, [({0: 1.0, 1: -1.0}, 0.0)])
+    half = Polytope(np.array([[1.0, -1.0]]), np.zeros(1))
     est = estimate_volume_rejection(half, 200_000, seed=1)
     assert abs(est.estimate - 0.5) <= 3 * est.stderr
 
@@ -65,7 +71,7 @@ def test_rejection_simplex_dim5():
 
 
 def test_rejection_zero_acceptance_is_flagged():
-    impossible = Polytope.from_rows(2, [({0: 1.0}, -1.0)])
+    impossible = Polytope(np.array([[1.0, 0.0]]), np.array([-1.0]))
     est = estimate_volume_rejection(impossible, 1000, seed=3)
     assert est.estimate == 0.0
     assert est.zero_acceptance
@@ -87,18 +93,46 @@ def test_rejection_screening_counts_what_the_full_test_counts(workers):
     samples, seed = 60_000, 13
     for n in range(4, 13):
         p = build_two_opt_polytope(n)
-        a, b = p.dense()
+        a, b = p.rows, p.rhs
         expected = 0
-        for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers,
-                                     REJECTION_BATCH):
+        batch = min(REJECTION_BATCH, REJECTION_COORDINATES // p.dim)
+        for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, batch):
             u = stream.random((m, p.dim))
             expected += int(np.all(u @ a.T <= b, axis=1).sum())
         est = estimate_volume_rejection(p, samples, seed, workers=workers)
         assert round(est.estimate * samples) == expected, n
 
 
+def test_rejection_batches_are_bounded_by_coordinates(monkeypatch):
+    # A batch draws at most the n = 12 batch's 200,000 x 66 coordinates, so
+    # n = 40 (780 coordinates per point) no longer draws a 78M-float batch,
+    # while n <= 12 keeps its 200,000-point batches.
+    shapes = []
+
+    class RecordingStream:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def random(self, shape):
+            shapes.append(shape)
+            return self.stream.random(shape)
+
+    def recording_batches(*args):
+        for stream, m in mc_batches(*args):
+            yield RecordingStream(stream), m
+
+    monkeypatch.setattr(polytopes, "mc_batches", recording_batches)
+    estimate_volume_rejection(build_two_opt_polytope(40), 100_000, seed=0)
+    assert max(m * dim for m, dim in shapes) <= 200_000 * 66
+    for n in (8, 12):
+        shapes.clear()
+        dim = pair_count(n)
+        estimate_volume_rejection(build_two_opt_polytope(n), 500_000, seed=0, workers=2)
+        assert shapes == [(200_000, dim), (50_000, dim)] * 2
+
+
 def test_telescoping_empty_polytope():
-    est = estimate_volume_telescoping(Polytope.from_rows(4, []), 200, seed=0)
+    est = estimate_volume_telescoping(Polytope(np.zeros((0, 4)), np.zeros(0)), 200, seed=0)
     assert est.estimate == 1.0
 
 
@@ -116,7 +150,7 @@ def test_telescoping_simplex_dim3():
 
 
 def test_telescoping_degenerate_phase_aborts_with_partial_report():
-    impossible = Polytope.from_rows(2, [({0: 1.0, 1: 1.0}, 0.5), ({0: 1.0}, -1.0)])
+    impossible = Polytope(np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([0.5, -1.0]))
     est = estimate_volume_telescoping(impossible, 300, seed=7)
     assert est.degenerate
     assert est.estimate == 0.0
@@ -126,7 +160,7 @@ def test_telescoping_degenerate_phase_aborts_with_partial_report():
 def test_telescoping_certain_rows_have_zero_stderr():
     # Rows every box point satisfies: each phase accepts every chain, every
     # leave-one-lineage-out estimate is 1, and the jackknife spread is 0.
-    loose = Polytope.from_rows(3, [({0: 1.0}, 1.0), ({1: 1.0, 2: 1.0}, 2.0)])
+    loose = Polytope(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), np.array([1.0, 2.0]))
     est = estimate_volume_telescoping(loose, 100, seed=8)
     assert est.estimate == 1.0 and est.stderr == 0.0
     assert est.phases == (1.0, 1.0)
@@ -136,7 +170,7 @@ def test_telescoping_box_corner_mean_over_seeds():
     # Volume 0.5 * 0.1 * 0.05.  At 100 chains per phase a lineage of 10
     # chains often has no sample accepted by the 0.1 row and restarts from
     # the pooled accepted samples; the mean over seeds must stay unbiased.
-    corner = Polytope.from_rows(3, [({0: 1.0}, 0.5), ({1: 1.0}, 0.1), ({2: 1.0}, 0.05)])
+    corner = Polytope(np.eye(3), np.array([0.5, 0.1, 0.05]))
     runs = [estimate_volume_telescoping(corner, 100, seed=s) for s in range(60)]
     assert not any(r.degenerate for r in runs)
     assert all(r.stderr > 0.0 for r in runs)  # never NaN; inf when one lineage holds every hit
@@ -157,7 +191,7 @@ def test_telescoping_same_seed_same_result():
     "p", [build_two_opt_polytope(6), simplex(5)], ids=["two-opt-6", "simplex-5"]
 )
 def test_hit_and_run_chains_stay_inside(p):
-    a, b = p.dense()
+    a, b = p.rows, p.rhs
     eye = np.eye(p.dim)
     g = np.vstack([a, eye, -eye])
     h = np.concatenate([b, np.ones(p.dim), np.zeros(p.dim)])
@@ -175,8 +209,8 @@ def test_hit_and_run_chain_on_a_face_stays_finite():
     # With the box, the row x0 <= 0 leaves only the face x0 = 0: every chord
     # through a start is a single point.  Half the starts also sit on a box
     # corner.  Chains must stay put there, without NaN from 0/0 slacks.
-    face = Polytope.from_rows(3, [({0: 1.0}, 0.0)])
-    a, b = face.dense()
+    face = Polytope(np.array([[1.0, 0.0, 0.0]]), np.zeros(1))
+    a, b = face.rows, face.rhs
     starts = np.tile([0.0, 0.5, 0.5], (100, 1))
     starts[::2, 1:] = 0.0
     x = _hit_and_run_chains(starts, a, b, 30, 0, substream(1, "face"))
@@ -188,6 +222,7 @@ def test_chain_parameters_read_by_the_benchmark_tracer():
     tele = inspect.signature(estimate_volume_telescoping).parameters
     assert {"p", "samples_per_phase", "burn_in", "thin"} <= set(tele)
     assert tele["burn_in"].default == 0
+    assert len(build_two_opt_polytope(6).rows) == 9  # the tracer's phase count
     gibbs = inspect.signature(_gibbs_orthant_draws).parameters
     assert gibbs["burn_in"].default == 1000 and gibbs["thin"].default == 10
     moments = inspect.signature(truncated_moments_mc).parameters
@@ -213,7 +248,7 @@ def test_rejection_volume_matches_census_probability():
 
 def test_dense_matches_sparse_rows():
     p = build_two_opt_polytope(6)
-    a, b = p.dense()
+    a, b = p.rows, p.rhs
     assert a.shape == (9, pair_count(6))
     assert np.all(b == 0.0)
     assert np.all(a.sum(axis=1) == 0.0)
