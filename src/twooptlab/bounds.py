@@ -80,19 +80,6 @@ class BoundReport:
     interaction: MCEstimate
     verdicts: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "log_per_tour_bound": self.log_per_tour_bound,
-            "log_expected_count_bound": self.log_expected_count_bound,
-            "log_chain_bound": self.log_chain_bound,
-            "log_chain_stderr": self.log_chain_stderr,
-            "log_sqrt_factorial": self.log_sqrt_factorial,
-            "log_product_factor": self.log_product_factor,
-            "interaction": self.interaction.to_json_dict(),
-            "verdicts": self.verdicts,
-        }
-
 
 def log_per_tour_bound(n: int) -> float:
     return n * math.log(BOUND_CONSTANT) - 0.5 * math.lgamma(n - 1)

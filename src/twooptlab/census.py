@@ -23,7 +23,6 @@ from .core import (
     check_enumeration_cap,
     enumerate_canonical_tours,
     move_quadruples,
-    tour_length,
 )
 from .rng import substream
 
@@ -114,7 +113,6 @@ class TransitionGraph:
 
     n: int
     nodes: tuple[Tour, ...]
-    lengths: tuple
     arcs: tuple[tuple[int, int], ...]
 
     def out_adjacency(self) -> list[list[int]]:
@@ -135,7 +133,6 @@ def build_transition_graph(inst: Instance) -> TransitionGraph:
     n = inst.n
     nodes = tuple(enumerate_canonical_tours(n, cap=ALL_TOURS_CAP))
     index = {t.order: k for k, t in enumerate(nodes)}
-    lengths = tuple(tour_length(inst, t) for t in nodes)
     w = inst.weight_matrix()
     moves = move_quadruples(n)
     zero = 0 if inst.mode == "exact" else 0.0
@@ -149,7 +146,7 @@ def build_transition_graph(inst: Instance) -> TransitionGraph:
                 target = o[:i1] + o[i1 : j + 1][::-1] + o[j + 1 :]
                 arcs.append((k, index[canonicalize(target)]))
     arcs.sort()
-    return TransitionGraph(n=n, nodes=nodes, lengths=lengths, arcs=tuple(arcs))
+    return TransitionGraph(n=n, nodes=nodes, arcs=tuple(arcs))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Each artifact embeds a manifest (command, parameters, seed, worker count,
 version); re-running the same manifest reproduces the artifact byte for
 byte.  Wall time is reported on stderr so it never perturbs artifact bytes.
-Exit code 0 means every requested verification passed; failures exit 1 with
-a machine-readable diagnostic.
+Exit code 0 means every verification passed; refusals, bad input and failed
+verifications exit 1 with a machine-readable diagnostic.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -50,14 +51,14 @@ from .polytopes import (
 from .reduction import BaseGraph, reduction_report
 
 
-def _manifest(command: str, args: argparse.Namespace) -> dict:
+def _manifest(args: argparse.Namespace) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "out", "command") and v is not None
     }
     return {
-        "command": command,
+        "command": args.command,
         "params": params,
         "seed": getattr(args, "seed", None),
         "workers": getattr(args, "workers", 1),
@@ -65,24 +66,22 @@ def _manifest(command: str, args: argparse.Namespace) -> dict:
     }
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_csv(manifest: dict, header: list[str], rows: list[list], out: str | None) -> None:
-    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
-    lines.append(",".join(header))
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(args: argparse.Namespace, header: list[str], rows: list[list]) -> str:
+    lines = ["# manifest: " + json.dumps(_manifest(args), sort_keys=True), ",".join(header)]
     for row in rows:
         lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    return "\n".join(lines) + "\n"
 
 
 def _load_instance(args: argparse.Namespace) -> Instance:
@@ -106,65 +105,48 @@ def _samples(args: argparse.Namespace, default: int) -> int:
     return default if args.samples is None else args.samples
 
 
-def cmd_gen(args) -> int:
-    inst = random_instance(args.n, args.seed)
-    _emit_json({"manifest": _manifest("gen", args), "instance": inst.to_json_dict()}, args.out)
-    return 0
+# Each command maps its arguments to (payload, failure): the artifact's fields
+# next to the manifest (None when it writes no JSON artifact), and the reason a
+# verification failed (None when every verification passed).
 
 
-def cmd_census(args) -> int:
+def cmd_gen(args):
+    return {"instance": random_instance(args.n, args.seed).to_json_dict()}, None
+
+
+def cmd_census(args):
     inst = _load_instance(args)
     count = count_two_optimal_exact(inst, cap=_census_cap(args))
     print(count)
-    if args.out:
-        _emit_json(
-            {"manifest": _manifest("census", args), "n": inst.n, "count": count}, args.out
-        )
-    return 0
+    return ({"n": inst.n, "count": count} if args.out else None), None
 
 
-def cmd_tgraph(args) -> int:
-    inst = _load_instance(args)
-    graph = build_transition_graph(inst)
+def cmd_tgraph(args):
+    graph = build_transition_graph(_load_instance(args))
     stats = transition_stats(graph, walks=args.walks, seed=args.seed)
-    payload = {"manifest": _manifest("tgraph", args), **stats.to_json_dict()}
-    _emit_json(payload, args.out)
     if args.arcs_csv:
-        _emit_csv(
-            _manifest("tgraph", args),
-            ["from", "to"],
-            [[u, v] for u, v in graph.arcs],
-            args.arcs_csv,
-        )
-    return 0
+        _write(_csv(args, ["from", "to"], [[u, v] for u, v in graph.arcs]), args.arcs_csv)
+    return stats.to_json_dict(), None
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     graph = BaseGraph.from_edge_list_text(Path(args.graph).read_text())
     report = reduction_report(graph, cap=_census_cap(args))
-    payload = {"manifest": _manifest("reduce", args), **report}
-    _emit_json(payload, args.out)
-    if args.verify and not report["corrected_matches_bruteforce"]:
-        _emit_json(
-            {
-                "status": "failed",
-                "reason": "corrected-model recovery disagrees with brute force",
-            },
-            None,
-        )
-        return 1
-    return 0
+    agrees = report["corrected_matches_bruteforce"]
+    return report, None if agrees else "corrected-model recovery disagrees with brute force"
 
 
-def cmd_construct_s(args) -> int:
+def cmd_construct_s(args):
     s = build_chord_disjoint_set(args.n)
     spectrum = participation_spectrum(s)
     disjoint = verify_chord_disjoint(s)
     formula_ok = all(
         participation_formula(args.n, p + 1) == s.k_by_edge[p] for p in range(args.n)
     )
+    if args.spectrum_csv:
+        rows = [[p + 1, k] for p, k in enumerate(s.k_by_edge)]
+        _write(_csv(args, ["edge_position", "participation_count"], rows), args.spectrum_csv)
     payload = {
-        "manifest": _manifest("construct-s", args),
         **s.to_json_dict(),
         "move_count": len(s.moves),
         "spectrum": list(spectrum.values),
@@ -173,100 +155,68 @@ def cmd_construct_s(args) -> int:
         "chord_disjoint": disjoint,
         "formula_matches": formula_ok,
     }
-    _emit_json(payload, args.out)
-    if args.spectrum_csv:
-        _emit_csv(
-            _manifest("construct-s", args),
-            ["edge_position", "participation_count"],
-            [[p + 1, k] for p, k in enumerate(s.k_by_edge)],
-            args.spectrum_csv,
-        )
-    if not (disjoint and formula_ok):
-        _emit_json({"status": "failed", "reason": "construction verification failed"}, None)
-        return 1
-    return 0
+    return payload, None if disjoint and formula_ok else "construction verification failed"
 
 
-def cmd_estimate_vol(args) -> int:
+def cmd_estimate_vol(args):
+    if args.method == "rejection" and args.samples_per_phase is not None:
+        raise ValueError("--samples-per-phase is read only by --method telescoping")
+    if args.method == "telescoping" and args.samples is not None:
+        raise ValueError("--samples is read only by --method rejection")
     p = build_two_opt_polytope(args.n)
     if args.method == "rejection":
         est = estimate_volume_rejection(p, _samples(args, 1_000_000), args.seed, workers=args.workers)
     else:
+        if args.samples_per_phase is None:
+            args.samples_per_phase = 2000  # the manifest records the default budget
         est = estimate_volume_telescoping(p, args.samples_per_phase, args.seed)
-    payload = {"manifest": _manifest("estimate-vol", args), "n": args.n, **est.to_json_dict()}
-    _emit_json(payload, args.out)
-    return 1 if est.degenerate else 0
+    failure = "a telescoping phase accepted no samples" if est.degenerate else None
+    return {"n": args.n, **asdict(est)}, failure
 
 
-def cmd_estimate_g(args) -> int:
-    s = build_chord_disjoint_set(args.n)
-    est = estimate_interaction_factor(s, _samples(args, 1_000_000), args.seed, workers=args.workers)
-    payload = {
-        "manifest": _manifest("estimate-g", args),
-        "n": args.n,
-        **est.to_json_dict(),
-        "log_estimate": math.log(est.estimate) if est.estimate > 0 else None,
-    }
-    _emit_json(payload, args.out)
-    return 0
+def cmd_estimate_g(args):
+    est = estimate_interaction_factor(
+        build_chord_disjoint_set(args.n), _samples(args, 1_000_000), args.seed, workers=args.workers
+    )
+    log_estimate = math.log(est.estimate) if est.estimate > 0 else None
+    return {"n": args.n, **asdict(est), "log_estimate": log_estimate}, None
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     report = counting_bounds(args.n, samples=_samples(args, 200_000), seed=args.seed, workers=args.workers)
-    payload = {"manifest": _manifest("bounds", args), **report.to_json_dict()}
-    _emit_json(payload, args.out)
-    return 0
+    return asdict(report), None
 
 
-def cmd_slope(args) -> int:
-    result = interaction_slope(args.ns, _samples(args, 1_000_000), args.seed, workers=args.workers)
-    _emit_json({"manifest": _manifest("slope", args), **result}, args.out)
-    return 0
+def cmd_slope(args):
+    return interaction_slope(args.ns, _samples(args, 1_000_000), args.seed, workers=args.workers), None
 
 
-def cmd_orthant(args) -> int:
+def cmd_orthant(args):
     spec = equicorrelated_spec(args.d) if args.equicorrelated else identity_spec(args.d)
     mc = orthant_prob_mc(spec, _samples(args, 200_000), args.seed, workers=args.workers)
     moments = truncated_moments_mc(spec, args.moment_samples, args.seed, workers=args.workers)
     bound = orthant_moment_bound(spec, moments.diagonal())
     payload = {
-        "manifest": _manifest("orthant", args),
         "d": args.d,
-        "mc": mc.to_json_dict(),
+        "mc": asdict(mc),
         "moment_sampler": moments.sampler,
         "log_moment_bound": bound,
         "log_reduced_bound": reduced_orthant_bound(args.d) if args.equicorrelated else None,
     }
-    _emit_json(payload, args.out)
     bound_holds = mc.estimate <= math.exp(bound) + 3.0 * mc.stderr
-    if not bound_holds:
-        _emit_json({"status": "failed", "reason": "moment bound fell below MC estimate"}, None)
-        return 1
-    return 0
+    return payload, None if bound_holds else "moment bound fell below MC estimate"
 
 
-def cmd_figure(args) -> int:
+FIGURE_COLUMNS = ["n", "estimate", "stderr", "log_bound_a", "log_bound_b", "log_ref_sqrt_factorial"]
+
+
+def cmd_figure(args):
     rows = figure_sweep(
         range(args.n_min, args.n_max + 1), _samples(args, 1_000_000), args.seed,
         workers=args.workers,
     )
-    _emit_csv(
-        _manifest("figure", args),
-        ["n", "estimate", "stderr", "log_bound_a", "log_bound_b", "log_ref_sqrt_factorial"],
-        [
-            [
-                row["n"],
-                row["estimate"],
-                row["stderr"],
-                row["log_bound_a"],
-                row["log_bound_b"],
-                row["log_ref_sqrt_factorial"],
-            ]
-            for row in rows
-        ],
-        args.out,
-    )
-    return 0
+    _write(_csv(args, FIGURE_COLUMNS, [[row[k] for k in FIGURE_COLUMNS] for row in rows]), args.out)
+    return None, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", parents=[common, huge], help="edge list -> path-cover report")
     p.add_argument("--graph", type=str, required=True)
-    p.add_argument("--no-verify", dest="verify", action="store_false",
-                   help="emit the report without failing on model disagreement")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("construct-s", parents=[common], help="chord-disjoint move set")
@@ -316,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-vol", parents=[common, sampled], help="2-opt polytope volume")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=["rejection", "telescoping"], default="rejection")
-    p.add_argument("--samples-per-phase", type=int, default=2000)
+    p.add_argument("--samples-per-phase", type=int, default=None,
+                   help="telescoping budget per phase; 2000 when omitted")
     p.set_defaults(func=cmd_estimate_vol)
 
     p = sub.add_parser("estimate-g", parents=[common, sampled], help="interaction factor estimate")
@@ -345,20 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _diagnose(status: str, reason: str) -> int:
+    _write(_json({"status": status, "reason": reason}), None)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        payload, failure = args.func(args)
+        if payload is not None:
+            _write(_json({"manifest": _manifest(args), **payload}), args.out)
     except CapExceededError as exc:
-        _emit_json({"status": "refused", "reason": str(exc)}, None)
-        return 1
+        return _diagnose("refused", str(exc))
     except (ValueError, OSError) as exc:
-        _emit_json({"status": "error", "reason": str(exc)}, None)
-        return 1
+        return _diagnose("error", str(exc))
     print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
-    return code
+    return 0 if failure is None else _diagnose("failed", failure)
 
 
 if __name__ == "__main__":

@@ -111,9 +111,6 @@ class MCEstimate:
     stderr: float
     samples: int
 
-    def to_json_dict(self) -> dict:
-        return {"estimate": self.estimate, "stderr": self.stderr, "samples": self.samples}
-
 
 def orthant_prob_mc(spec: CovarianceSpec, samples: int, seed: int, workers: int = 1) -> MCEstimate:
     """Monte-Carlo positive orthant probability via the covariance factor."""

@@ -70,17 +70,6 @@ class VolumeEstimate:
     degenerate: bool = False
     phases: tuple[float, ...] = field(default_factory=tuple)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "method": self.method,
-            "zero_acceptance": self.zero_acceptance,
-            "degenerate": self.degenerate,
-            "phases": list(self.phases),
-        }
-
 
 def estimate_volume_rejection(
     p: Polytope, samples: int, seed: int, workers: int = 1

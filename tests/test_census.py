@@ -128,7 +128,7 @@ def test_graph_arcs_strictly_decrease_length():
         inst = random_instance(6, seed=seed)
         graph = build_transition_graph(inst)
         for u, v in graph.arcs:
-            assert graph.lengths[v] < graph.lengths[u]
+            assert tour_length(inst, graph.nodes[v]) < tour_length(inst, graph.nodes[u])
 
 
 def test_graph_cap_refusal():
@@ -146,7 +146,7 @@ def test_stats_on_arcless_graph():
 
 def test_stats_on_hand_built_chain():
     nodes = tuple(enumerate_canonical_tours(4))
-    graph = TransitionGraph(n=4, nodes=nodes, lengths=(3, 2, 1), arcs=((0, 1), (1, 2)))
+    graph = TransitionGraph(n=4, nodes=nodes, arcs=((0, 1), (1, 2)))
     stats = transition_stats(graph, walks=200, seed=1)
     assert stats.sinks == 1
     assert stats.longest_path == 2
@@ -157,7 +157,7 @@ def test_stats_longest_path_ignores_tied_lengths():
     # Equal computed lengths along improving arcs (float rounding can do this)
     # must not shorten the longest path.
     nodes = tuple(enumerate_canonical_tours(4))
-    graph = TransitionGraph(n=4, nodes=nodes, lengths=(1.0, 1.0, 1.0), arcs=((0, 1), (1, 2)))
+    graph = TransitionGraph(n=4, nodes=nodes, arcs=((0, 1), (1, 2)))
     assert transition_stats(graph, walks=10, seed=1).longest_path == 2
 
 
@@ -201,10 +201,3 @@ def test_exact_mode_census_uses_strict_improvement():
     graph = build_transition_graph(inst)
     assert graph.arcs == ()
     assert count_two_optimal_exact(inst) == len(list(enumerate_canonical_tours(6)))
-
-
-def test_lengths_recorded_per_node():
-    inst = random_instance(5, seed=12)
-    graph = build_transition_graph(inst)
-    for tour, length in zip(graph.nodes, graph.lengths):
-        assert length == tour_length(inst, tour)

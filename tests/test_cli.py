@@ -3,11 +3,12 @@ import math
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from twooptlab import interaction_slope
+from twooptlab import cli, interaction_slope
 from twooptlab.cli import build_parser, main
 
 
@@ -217,9 +218,13 @@ def test_slope_command_is_reproducible_and_matches_library(tmp_path, capsys):
         (["orthant", "--d", "0"], "d=0"),
         (["orthant", "--d", "-1"], "d=-1"),
         (["slope", "--ns", "17", "--samples", "1000"], "two distinct sizes"),
+        (["estimate-vol", "--n", "5", "--method", "telescoping", "--samples", "10",
+          "--samples-per-phase", "100"], "--samples is read"),
+        (["estimate-vol", "--n", "5", "--method", "rejection", "--samples", "1000",
+          "--samples-per-phase", "100"], "--samples-per-phase is read"),
     ],
     ids=["negative-walks", "empty-figure-range", "zero-dimension", "negative-dimension",
-         "single-slope-size"],
+         "single-slope-size", "telescoping-samples", "rejection-samples-per-phase"],
 )
 def test_bad_inputs_emit_error(argv, reason, capsys):
     code, out = run_cli(argv, capsys)
@@ -227,6 +232,46 @@ def test_bad_inputs_emit_error(argv, reason, capsys):
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert reason in payload["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv, name, fake, reason",
+    [
+        (["reduce", "--graph", "{edges}"], "reduction_report",
+         lambda report: {**report, "corrected_matches_bruteforce": False},
+         "corrected-model recovery disagrees with brute force"),
+        (["construct-s", "--n", "9"], "verify_chord_disjoint", lambda _: False,
+         "construction verification failed"),
+        (["orthant", "--d", "3", "--samples", "20000", "--moment-samples", "2000"],
+         "orthant_moment_bound", lambda _: -1e9, "moment bound fell below MC estimate"),
+    ],
+    ids=["reduce", "construct-s", "orthant"],
+)
+def test_failed_verification_writes_artifact_then_diagnostic(
+    argv, name, fake, reason, tmp_path, capsys, monkeypatch
+):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: fake(real(*a, **k)))
+    edges = tmp_path / "p3.edges"
+    edges.write_text("0 1\n1 2\n")
+    out_path = tmp_path / "artifact.json"
+    argv = [a.replace("{edges}", str(edges)) for a in argv] + ["--out", str(out_path)]
+    code, out = run_cli(argv, capsys)
+    assert code == 1
+    assert json.loads(out_path.read_text())["manifest"]["command"] == argv[0]
+    assert json.loads(out) == {"status": "failed", "reason": reason}
+
+
+def test_degenerate_telescoping_writes_artifact_then_diagnostic(tmp_path, capsys, monkeypatch):
+    real = cli.estimate_volume_telescoping
+    monkeypatch.setattr(cli, "estimate_volume_telescoping",
+                        lambda *a, **k: replace(real(*a, **k), degenerate=True))
+    out_path = tmp_path / "artifact.json"
+    argv = ["estimate-vol", "--n", "5", "--method", "telescoping", "--samples-per-phase", "100"]
+    code, out = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 1
+    assert json.loads(out_path.read_text())["degenerate"] is True
+    assert json.loads(out) == {"status": "failed", "reason": "a telescoping phase accepted no samples"}
 
 
 @pytest.mark.parametrize(
