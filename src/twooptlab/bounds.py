@@ -22,7 +22,6 @@ from .rng import mc_batches
 # sqrt(pi/2) * exp(-1/(9 pi)): base of the per-tour probability bound.
 BOUND_CONSTANT = math.sqrt(math.pi / 2.0) * math.exp(-1.0 / (9.0 * math.pi))
 EXPECTED_COUNT_BASE = 1.2098
-INTERACTION_BATCH = 100_000  # samples per numpy batch in the interaction estimator
 
 
 def interaction_matrix(s: ChordDisjointSet) -> tuple[np.ndarray, list[int]]:
@@ -55,8 +54,7 @@ def estimate_interaction_factor(
     a, _ = interaction_matrix(s)
     total = 0.0
     total_sq = 0.0
-    for stream, m in mc_batches(seed, f"interaction-factor:{s.n}", samples, workers,
-                                 INTERACTION_BATCH):
+    for stream, m in mc_batches(seed, f"interaction-factor:{s.n}", samples, workers, a.shape[0]):
         x = np.abs(stream.standard_normal((m, a.shape[0])))
         vals = interaction_values(a, x)
         total += float(vals.sum())

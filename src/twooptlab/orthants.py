@@ -17,7 +17,9 @@ Conditioned moments are sampled exactly by rejection up to dimension 8: the
 proposal is i.i.d. half-normals with precision lam I, lam the smallest
 eigenvalue of the precision P, accepted with probability
 exp(-x'(P - lam I)x / 2).  Beyond dimension 8, or when that acceptance
-collapses, a coordinate-update Gibbs chain takes over.
+collapses, a coordinate-update Gibbs chain takes over.  Both Monte Carlo
+loops here draw in the batches of ``rng.batch_rows`` and state only their row
+width, d.
 """
 
 from __future__ import annotations
@@ -29,13 +31,11 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import NotPositiveDefiniteError
-from .rng import mc_batches
+from .rng import batch_rows, mc_batches, worker_shares
 
 REJECTION_DIM_CAP = 8
 MIN_ACCEPT_RATE = 1e-4
 GIBBS_TAIL_SWITCH = 5.0  # standardised depth where the chain's quantile moves to log space
-ORTHANT_MC_BATCH = 200_000  # normal draws per numpy batch in orthant_prob_mc
-REJECTION_DRAW_BATCH = 100_000  # most proposals per batch when sampling the truncated normal
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def orthant_prob_mc(spec: CovarianceSpec, samples: int, seed: int, workers: int 
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hits = 0
-    for stream, m in mc_batches(seed, "orthant-mc", samples, workers, ORTHANT_MC_BATCH):
+    for stream, m in mc_batches(seed, "orthant-mc", samples, workers, spec.d):
         z = stream.standard_normal((m, spec.d)) @ spec.chol_covariance.T
         hits += int(np.all(z > 0.0, axis=1).sum())
     est = hits / samples
@@ -151,20 +151,22 @@ def _rejection_orthant_draws(spec: CovarianceSpec, count: int, rng):
     are exact i.i.d. draws of N(0, P^-1) conditioned on the positive orthant.
 
     Each batch is sized for the draws still missing at the rate observed so
-    far, capped at ``REJECTION_DRAW_BATCH``; the first batch assumes every
-    proposal is accepted.  Once ``10 * REJECTION_DRAW_BATCH`` proposals have
-    accepted fewer than ``MIN_ACCEPT_RATE`` of them, returns ``(None, rate)``
-    and the caller switches to the coordinate chain.  That is the weak case
-    of this proposal: a precision with a tiny eigenvalue (strongly positively
-    correlated coordinates) is poorly dominated by the isotropic half-normal.
+    far, capped at ``rng.batch_rows(d)``; the first batch assumes every
+    proposal is accepted.  Returns ``(draws, accepted, attempted)``.  Once
+    ``10 * batch_rows(d)`` proposals have accepted fewer than
+    ``MIN_ACCEPT_RATE`` of them, ``draws`` is None and the caller switches to
+    the coordinate chain.  That is the weak case of this proposal: a
+    precision with a tiny eigenvalue (strongly positively correlated
+    coordinates) is poorly dominated by the isotropic half-normal.
     """
     lam = float(np.linalg.eigvalsh(spec.precision)[0])
     excess = spec.precision - lam * np.eye(spec.d)
     scale = 1.0 / math.sqrt(lam)
+    rows = batch_rows(spec.d)
     draws = []
     attempted = 0
     accepted = 0
-    batch = count
+    batch = min(count, rows)
     while accepted < count:
         x = np.abs(rng.standard_normal((batch, spec.d))) * scale
         half_quad = 0.5 * ((x @ excess) * x).sum(axis=1)
@@ -173,12 +175,11 @@ def _rejection_orthant_draws(spec: CovarianceSpec, count: int, rng):
         accepted += len(keep)
         draws.append(keep)
         rate = accepted / attempted
-        if attempted >= 10 * REJECTION_DRAW_BATCH and rate < MIN_ACCEPT_RATE:
-            return None, rate
+        if attempted >= 10 * rows and rate < MIN_ACCEPT_RATE:
+            return None, accepted, attempted
         missing = count - accepted  # 10% over the expected need: one batch usually ends it
-        batch = REJECTION_DRAW_BATCH if accepted == 0 else min(
-            REJECTION_DRAW_BATCH, math.ceil(1.1 * missing / rate))
-    return np.vstack(draws)[:count], rate
+        batch = rows if accepted == 0 else min(rows, math.ceil(1.1 * missing / rate))
+    return np.vstack(draws)[:count], accepted, attempted
 
 
 def _gibbs_orthant_draws(spec: CovarianceSpec, count: int, rng,
@@ -230,20 +231,23 @@ def truncated_moments_mc(
 
     Rejection sampling up to dimension 8; beyond that (or when the observed
     acceptance rate drops below 1e-4) the coordinate-update chain takes over
-    and the switch is recorded on the result.
+    and the switch is recorded on the result.  ``acceptance_rate`` pools the
+    accepted and attempted proposals of every worker that ran rejection.
+    The moments are reduced one matrix row at a time, so no (samples, d, d)
+    array is built.
     """
     if accepted_samples < 2:
         raise ValueError("accepted_samples must be >= 2")
     if sampler is None:
         sampler = "rejection" if spec.d <= REJECTION_DIM_CAP else "gibbs"
     chunks = []
-    rate = None
+    accepted = attempted = 0
     used = sampler
-    # With batch = total, each worker's nonzero budget comes out exactly once.
-    for stream, budget in mc_batches(seed, "truncated-moments", accepted_samples, workers,
-                                     accepted_samples):
+    for stream, budget in worker_shares(seed, "truncated-moments", accepted_samples, workers):
         if used == "rejection":
-            draws, rate = _rejection_orthant_draws(spec, budget, stream)
+            draws, got, tried = _rejection_orthant_draws(spec, budget, stream)
+            accepted += got
+            attempted += tried
             if draws is None:
                 used = "gibbs"  # acceptance collapsed; switch and record
                 draws = _gibbs_orthant_draws(spec, budget, stream)
@@ -251,15 +255,18 @@ def truncated_moments_mc(
             draws = _gibbs_orthant_draws(spec, budget, stream)
         chunks.append(draws)
     z = np.vstack(chunks)
-    products = z[:, :, None] * z[:, None, :]
-    matrix = products.mean(axis=0)
-    stderr = products.std(axis=0, ddof=1) / math.sqrt(len(z))
+    matrix = np.empty((spec.d, spec.d))
+    spread = np.empty((spec.d, spec.d))
+    for i in range(spec.d):
+        products = z * z[:, [i]]
+        matrix[i] = products.mean(axis=0)
+        spread[i] = products.std(axis=0, ddof=1)
     return TruncatedMoments(
         matrix=matrix,
-        stderr=stderr,
+        stderr=spread / math.sqrt(len(z)),
         samples=len(z),
         sampler=used,
-        acceptance_rate=rate,
+        acceptance_rate=accepted / attempted if attempted else None,
         draws=z,
     )
 

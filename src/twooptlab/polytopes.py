@@ -10,9 +10,9 @@ estimator reads.  The volume of the polytope equals the probability that a
 fixed tour is 2-optimal, so the census mean over random instances divided by
 the tour count is an independent check on it.  Two estimators are kept:
 plain rejection sampling, which screens the rows in blocks of doubling width
-against the points that survived the earlier blocks and bounds each batch by
-its coordinate count, and a telescoped product of conditional acceptance
-rates.
+against the points that survived the earlier blocks and draws its points in
+the batches of ``rng.mc_batches``, and a telescoped product of conditional
+acceptance rates.
 The telescoping estimator adds one row per phase and samples each phase with
 many hit-and-run chains advanced in lock-step as one (chains, dim) array.
 Each phase's chains start at the previous phase's accepted samples, which
@@ -28,11 +28,6 @@ import numpy as np
 
 from .core import move_quadruples, pair_count, pair_index
 from .rng import mc_batches, split_budget, substream
-
-REJECTION_BATCH = 200_000  # box points per numpy batch in rejection sampling
-# Coordinates drawn per batch at most: the n = 12 batch (200,000 x 66, ~106 MB),
-# so larger n draws fewer points per batch instead of more memory.
-REJECTION_COORDINATES = REJECTION_BATCH * pair_count(12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +86,7 @@ def estimate_volume_rejection(
     while edges[-1] < len(b):
         edges.append(min(len(b), 2 * edges[-1] + 4))  # blocks of 4, 8, 16, ... rows
     hits = 0
-    batch = min(REJECTION_BATCH, REJECTION_COORDINATES // p.dim)
-    for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, batch):
+    for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, p.dim):
         u = stream.random((m, p.dim))
         for first, stop in zip(edges[:-1], edges[1:]):
             u = u[np.all(u @ a[first:stop].T <= b[first:stop], axis=1)]

@@ -404,10 +404,14 @@ def reduction_report(g: BaseGraph, cap: int = ENUMERATION_CAP) -> dict:
     }
 
 
-def hamiltonian_path_count(g: BaseGraph, use_pipeline: bool = False) -> int:
-    """Number of Hamiltonian paths = number of size-1 path covers."""
-    if not use_pipeline:
-        return count_path_covers_bruteforce(g)[0]
+def hamiltonian_path_count(g: BaseGraph) -> int:
+    """Number of Hamiltonian paths = number of size-1 path covers.
+
+    Read off the corrected recovery of the census vector, so it refuses what
+    ``census_vector`` refuses (nv >= 4 under the default cap) and raises
+    ``SingularMatrixError`` where the recovery is not full rank;
+    ``count_path_covers_bruteforce(g)[0]`` is the brute-force value.
+    """
     result = recover_corrected_counts(census_vector(g), g.nv)
     if not result.full_rank or result.a is None:
         raise SingularMatrixError(result.detail)

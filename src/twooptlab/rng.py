@@ -1,9 +1,14 @@
-"""Deterministic random-stream derivation.
+"""Deterministic random-stream derivation and the one Monte Carlo batch loop.
 
 Every stochastic routine draws from a substream keyed by (seed, purpose tag,
 extra indices).  Splitting a sample budget over workers uses per-worker
 substreams, so the pooled result depends only on (seed, worker count), never
-on scheduling.
+on scheduling.  Worker w's stream does not depend on the worker count, and
+workers with nothing to draw get no stream at all.
+
+Batch sizes are decided here, not by the samplers: a sampler states its row
+width (coordinates per draw) and draws ``batch_rows(width)`` rows at a time,
+at most ``MC_BATCH_ROWS`` rows and ``MC_BATCH_COORDINATES`` coordinates.
 """
 
 from __future__ import annotations
@@ -11,6 +16,11 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
+
+MC_BATCH_ROWS = 100_000  # draws per numpy batch at most
+# Coordinates per batch at most: 200,000 draws of the n = 12 polytope's 66
+# coordinates (~106 MB of float64), so wider draws come in fewer rows.
+MC_BATCH_COORDINATES = 13_200_000
 
 
 def _entropy_words(key) -> list[int]:
@@ -39,14 +49,31 @@ def split_budget(total: int, workers: int) -> list[int]:
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def worker_streams(seed: int, tag: str, workers: int) -> list[np.random.Generator]:
-    return [substream(seed, tag, w) for w in range(workers)]
+def batch_rows(width: int) -> int:
+    """Rows per batch for draws of ``width`` coordinates each."""
+    return max(1, min(MC_BATCH_ROWS, MC_BATCH_COORDINATES // width))
+
+
+def worker_shares(
+    seed: int, tag: str, total: int, workers: int
+) -> Iterator[tuple[np.random.Generator, int]]:
+    """Yield (substream(seed, tag, w), share) for each worker w with a non-zero share.
+
+    The shares are those of ``split_budget``; only the first min(workers,
+    total) workers have one, so no stream is made for the rest.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    base, extra = divmod(total, workers)
+    for w in range(min(workers, total)):
+        yield substream(seed, tag, w), base + (1 if w < extra else 0)
 
 
 def mc_batches(
-    seed: int, tag: str, total: int, workers: int, batch: int
+    seed: int, tag: str, total: int, workers: int, width: int
 ) -> Iterator[tuple[np.random.Generator, int]]:
-    """Yield (stream, m): each worker's substream draws its budget share in batches of <= batch."""
-    for stream, budget in zip(worker_streams(seed, tag, workers), split_budget(total, workers)):
-        for done in range(0, budget, batch):
-            yield stream, min(batch, budget - done)
+    """Yield (stream, m): each worker's share, cut into batches of ``batch_rows(width)`` rows."""
+    rows = batch_rows(width)
+    for stream, share in worker_shares(seed, tag, total, workers):
+        for done in range(0, share, rows):
+            yield stream, min(rows, share - done)

@@ -16,9 +16,10 @@ from twooptlab import (
     log_per_tour_bound,
     log_product_bound,
 )
+from twooptlab import bounds
 from twooptlab.bounds import interaction_matrix, interaction_values
 from twooptlab.chords import ChordDisjointSet
-from twooptlab.rng import substream
+from twooptlab.rng import MC_BATCH_COORDINATES, substream
 
 SINGLE_PAIR = ChordDisjointSet(
     n=5,
@@ -152,3 +153,12 @@ def test_figure_sweep_rows():
         }
         assert row["estimate"] > 0.0
     assert rows[0]["estimate"] > rows[1]["estimate"]
+
+
+def test_interaction_batches_are_bounded_by_coordinates(draw_shapes):
+    # n = 257 has 255 active edges: 100,000-row batches would draw 25.5M
+    # coordinates, so the rows shrink to fit 13.2M.
+    shapes = draw_shapes(bounds, "mc_batches")
+    estimate_interaction_factor(build_chord_disjoint_set(257), 60_000, seed=0)
+    assert shapes == [(51_764, 255), (8_236, 255)]
+    assert all(m * width <= MC_BATCH_COORDINATES for m, width in shapes)

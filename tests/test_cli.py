@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -307,6 +309,15 @@ def test_readme_commands_parse():
     parser = build_parser()
     for line in commands:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_limits_match_the_code():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `(\w+)\.([A-Z_]+)` \| ([^|]*) \|", readme.read_text(), re.MULTILINE)
+    assert len(rows) >= 6
+    for module, name, value in rows:
+        stated = int(re.search(r"\d[\d,]*", value).group().replace(",", ""))
+        assert stated == getattr(importlib.import_module(f"twooptlab.{module}"), name), name
 
 
 def test_orthant_command(capsys):

@@ -16,14 +16,16 @@ from twooptlab import (
     second_moment_formula,
     truncated_moments_mc,
 )
+from twooptlab import orthants
 from twooptlab.orthants import (
     MIN_ACCEPT_RATE,
     _gibbs_orthant_draws,
+    _rejection_orthant_draws,
     amemiya_residuals,
     equicorrelated_closed_forms,
     equicorrelated_g_sum,
 )
-from twooptlab.rng import substream
+from twooptlab.rng import MC_BATCH_COORDINATES, MC_BATCH_ROWS, split_budget, substream
 
 
 # A precision with no symmetry between coordinates and negative off-diagonals.
@@ -98,6 +100,36 @@ def test_orthant_mc_deterministic_given_seed_and_workers():
     a = orthant_prob_mc(spec, 60_000, seed=8, workers=3)
     b = orthant_prob_mc(spec, 60_000, seed=8, workers=3)
     assert a.estimate == b.estimate
+
+
+def test_orthant_mc_batches_are_bounded_by_coordinates(draw_shapes):
+    # 200,000 rows of d = 256 would draw 51M coordinates at once.
+    shapes = draw_shapes(orthants, "mc_batches")
+    orthant_prob_mc(identity_spec(256), 60_000, seed=0)
+    assert shapes == [(51_562, 256), (8_438, 256)]
+    assert all(m * width <= MC_BATCH_COORDINATES for m, width in shapes)
+
+
+def test_rejection_moment_batches_are_capped_from_the_first(draw_shapes):
+    # A worker's budget above MC_BATCH_ROWS is no longer proposed in one batch.
+    shapes = draw_shapes(orthants, "worker_shares")
+    moments = truncated_moments_mc(identity_spec(2), 150_000, seed=0)
+    assert moments.sampler == "rejection" and moments.samples == 150_000
+    assert shapes[0] == (MC_BATCH_ROWS, 2)
+    assert max(m for m, _ in shapes) <= MC_BATCH_ROWS
+
+
+def test_acceptance_rate_pools_every_rejection_worker():
+    spec = equicorrelated_spec(4)
+    moments = truncated_moments_mc(spec, 3_000, seed=30, workers=3)
+    counts = [
+        _rejection_orthant_draws(spec, share, substream(30, "truncated-moments", w))[1:]
+        for w, share in enumerate(split_budget(3_000, 3))
+    ]
+    accepted, attempted = (sum(column) for column in zip(*counts))
+    assert moments.acceptance_rate == accepted / attempted
+    # Not the last worker's own rate, which the result used to report.
+    assert moments.acceptance_rate != counts[-1][0] / counts[-1][1]
 
 
 def test_truncated_moments_identity_spec():

@@ -18,13 +18,8 @@ from twooptlab import (
 )
 from twooptlab.orthants import _gibbs_orthant_draws
 from twooptlab import polytopes
-from twooptlab.polytopes import (
-    REJECTION_BATCH,
-    REJECTION_COORDINATES,
-    Polytope,
-    _hit_and_run_chains,
-)
-from twooptlab.rng import mc_batches, substream
+from twooptlab.polytopes import Polytope, _hit_and_run_chains
+from twooptlab.rng import MC_BATCH_COORDINATES, mc_batches, substream
 
 
 def simplex(dim: int) -> Polytope:
@@ -95,40 +90,25 @@ def test_rejection_screening_counts_what_the_full_test_counts(workers):
         p = build_two_opt_polytope(n)
         a, b = p.rows, p.rhs
         expected = 0
-        batch = min(REJECTION_BATCH, REJECTION_COORDINATES // p.dim)
-        for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, batch):
+        for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, p.dim):
             u = stream.random((m, p.dim))
             expected += int(np.all(u @ a.T <= b, axis=1).sum())
         est = estimate_volume_rejection(p, samples, seed, workers=workers)
         assert round(est.estimate * samples) == expected, n
 
 
-def test_rejection_batches_are_bounded_by_coordinates(monkeypatch):
-    # A batch draws at most the n = 12 batch's 200,000 x 66 coordinates, so
-    # n = 40 (780 coordinates per point) no longer draws a 78M-float batch,
-    # while n <= 12 keeps its 200,000-point batches.
-    shapes = []
-
-    class RecordingStream:
-        def __init__(self, stream):
-            self.stream = stream
-
-        def random(self, shape):
-            shapes.append(shape)
-            return self.stream.random(shape)
-
-    def recording_batches(*args):
-        for stream, m in mc_batches(*args):
-            yield RecordingStream(stream), m
-
-    monkeypatch.setattr(polytopes, "mc_batches", recording_batches)
+def test_rejection_batches_are_bounded_by_coordinates(draw_shapes):
+    # A batch draws at most 200,000 x 66 coordinates (the n = 12 polytope's
+    # width), so n = 40 (780 coordinates per point) no longer draws a
+    # 78M-float batch, while n <= 12 draws batches of 100,000 points.
+    shapes = draw_shapes(polytopes, "mc_batches")
     estimate_volume_rejection(build_two_opt_polytope(40), 100_000, seed=0)
-    assert max(m * dim for m, dim in shapes) <= 200_000 * 66
+    assert max(m * dim for m, dim in shapes) <= 200_000 * 66 == MC_BATCH_COORDINATES
     for n in (8, 12):
         shapes.clear()
         dim = pair_count(n)
         estimate_volume_rejection(build_two_opt_polytope(n), 500_000, seed=0, workers=2)
-        assert shapes == [(200_000, dim), (50_000, dim)] * 2
+        assert shapes == ([(100_000, dim)] * 2 + [(50_000, dim)]) * 2
 
 
 def test_telescoping_empty_polytope():
