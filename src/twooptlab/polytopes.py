@@ -10,9 +10,10 @@ estimator reads.  The volume of the polytope equals the probability that a
 fixed tour is 2-optimal, so the census mean over random instances divided by
 the tour count is an independent check on it.  Two estimators are kept:
 plain rejection sampling, which screens the rows in blocks of doubling width
-against the points that survived the earlier blocks and draws its points in
-the batches of ``rng.mc_batches``, and a telescoped product of conditional
-acceptance rates.
+against the points that survived the earlier blocks, drawing each coordinate
+only when the first block that reads it comes up and only for those
+survivors, in the batches of ``rng.mc_batches``; and a telescoped product of
+conditional acceptance rates.
 The telescoping estimator adds one row per phase and samples each phase with
 many hit-and-run chains advanced in lock-step as one (chains, dim) array.
 Each phase's chains start at the previous phase's accepted samples, which
@@ -73,23 +74,39 @@ def estimate_volume_rejection(
 
     The rows are tested in blocks of doubling width (4, 8, 16, ...), each
     block against only the points that satisfied every earlier block, so a
-    point pays for the rows up to the block that rejects it.  The draws and
-    the predicate are those of a single full test, and the hit count the
-    same.
+    point pays for the rows up to the block that rejects it.  A column is
+    drawn when the first block that reads it comes up, and only for the
+    points that passed every earlier block: each batch draws, in block
+    order, one (survivors, new columns) array per block that reads new
+    columns, those in increasing order.  Columns no row reads are never
+    drawn, so a polytope without rows draws nothing and has volume 1.  A
+    counted point still has i.i.d. uniform coordinates in every column a
+    row reads and passes every row, so the hit count is binomial.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if len(p.rows) == 0:
-        return VolumeEstimate(estimate=1.0, stderr=0.0, samples=samples, method="rejection")
-    a, b = p.rows, p.rhs
     edges = [0]
-    while edges[-1] < len(b):
-        edges.append(min(len(b), 2 * edges[-1] + 4))  # blocks of 4, 8, 16, ... rows
+    while edges[-1] < len(p.rhs):
+        edges.append(min(len(p.rhs), 2 * edges[-1] + 4))  # blocks of 4, 8, 16, ... rows
+    # Columns in the order the blocks first read them; each block's test
+    # reads the first `width` of them.
+    order: list[int] = []
+    read = np.zeros(p.dim, dtype=bool)
+    blocks = []
+    for first, stop in zip(edges[:-1], edges[1:]):
+        first_read = np.flatnonzero(np.any(p.rows[first:stop] != 0, axis=0) & ~read)
+        read[first_read] = True
+        order.extend(first_read)
+        blocks.append((p.rows[first:stop, order], p.rhs[first:stop, None], len(order)))
     hits = 0
     for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, p.dim):
-        u = stream.random((m, p.dim))
-        for first, stop in zip(edges[:-1], edges[1:]):
-            u = u[np.all(u @ a[first:stop].T <= b[first:stop], axis=1)]
+        u = np.empty((m, 0))
+        for a, b, width in blocks:
+            if width > u.shape[1]:
+                new = stream.random((len(u), width - u.shape[1]))
+                u = np.hstack([u, new]) if u.shape[1] else new
+            # (rows, points) so that the all() runs down the long axis.
+            u = u[np.all(a @ u.T <= b, axis=0)]
         hits += len(u)
     est = hits / samples
     stderr = math.sqrt(est * (1.0 - est) / samples)

@@ -81,34 +81,124 @@ def test_rejection_deterministic_given_seed_and_workers():
     assert abs(a.estimate - c.estimate) <= 3 * math.hypot(a.stderr, c.stderr)
 
 
+def lazy_draws_completed(p, samples, seed, workers):
+    """Replay the rejection estimator's documented draws as full (m, dim) points.
+
+    Per batch and in block order, each block's columns not drawn yet are
+    drawn, in increasing order, for the points that passed every earlier
+    block.  The columns a rejected point never got (and the columns no row
+    reads) are then filled from a separate substream, so every point is a
+    complete box point.
+    """
+    a, b = p.rows, p.rhs
+    edges = [0]
+    while edges[-1] < len(b):
+        edges.append(min(len(b), 2 * edges[-1] + 4))
+    for batch, (stream, m) in enumerate(
+        mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, p.dim)
+    ):
+        u = np.full((m, p.dim), np.nan)
+        drawn = np.zeros(p.dim, dtype=bool)
+        alive = np.ones(m, dtype=bool)
+        for first, stop in zip(edges[:-1], edges[1:]):
+            cols = np.flatnonzero(np.any(a[first:stop] != 0, axis=0))
+            new = cols[~drawn[cols]]
+            if len(new):
+                u[np.ix_(alive, new)] = stream.random((alive.sum(), len(new)))
+                drawn[new] = True
+            block = u[alive][:, cols] @ a[first:stop, cols].T <= b[first:stop]
+            alive[alive] = np.all(block, axis=1)
+        missing = np.isnan(u)
+        u[missing] = substream(seed, "lazy-draws-completion", batch).random(missing.sum())
+        yield u
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_rejection_screening_counts_what_the_full_test_counts(workers):
-    # Row-block screening must count exactly the points that pass every row
-    # at once; n = 5 splits its 5 rows into blocks of 4 and 1.
+    # Lazy row-block screening must count exactly the points that pass every
+    # row at once, once the columns a rejected point was never drawn are
+    # filled in; n = 5 splits its 5 rows into blocks of 4 and 1.
     samples, seed = 60_000, 13
     for n in range(4, 13):
         p = build_two_opt_polytope(n)
-        a, b = p.rows, p.rhs
-        expected = 0
-        for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, p.dim):
-            u = stream.random((m, p.dim))
-            expected += int(np.all(u @ a.T <= b, axis=1).sum())
+        expected = sum(
+            int(np.all(u @ p.rows.T <= p.rhs, axis=1).sum())
+            for u in lazy_draws_completed(p, samples, seed, workers)
+        )
         est = estimate_volume_rejection(p, samples, seed, workers=workers)
         assert round(est.estimate * samples) == expected, n
 
 
 def test_rejection_batches_are_bounded_by_coordinates(draw_shapes):
-    # A batch draws at most 200,000 x 66 coordinates (the n = 12 polytope's
-    # width), so n = 40 (780 coordinates per point) no longer draws a
-    # 78M-float batch, while n <= 12 draws batches of 100,000 points.
+    # A batch holds at most 200,000 x 66 coordinates (the n = 12 polytope's
+    # width), so n = 40 (780 coordinates per point) never draws a 78M-float
+    # batch.  Batches of 100,000 points draw the 13 columns of the first
+    # block, then each later block's new columns for its survivors only.
     shapes = draw_shapes(polytopes, "mc_batches")
     estimate_volume_rejection(build_two_opt_polytope(40), 100_000, seed=0)
     assert max(m * dim for m, dim in shapes) <= 200_000 * 66 == MC_BATCH_COORDINATES
-    for n in (8, 12):
+    pins = {
+        8: [
+            (100_000, 13), (12_643, 11), (711, 4),
+            (100_000, 13), (12_558, 11), (708, 4),
+            (50_000, 13), (6_371, 11), (378, 4),
+            (100_000, 13), (12_676, 11), (760, 4),
+            (100_000, 13), (12_617, 11), (741, 4),
+            (50_000, 13), (6_416, 11), (389, 4),
+        ],
+        12: [
+            (100_000, 13), (12_608, 19), (718, 15), (8, 19),
+            (100_000, 13), (12_497, 19), (797, 15), (8, 19),
+            (50_000, 13), (6_310, 19), (382, 15), (4, 19),
+            (100_000, 13), (12_762, 19), (690, 15), (16, 19),
+            (100_000, 13), (12_454, 19), (733, 15), (11, 19),
+            (50_000, 13), (6_337, 19), (369, 15), (4, 19),
+        ],
+    }
+    for n, pinned in pins.items():
         shapes.clear()
-        dim = pair_count(n)
         estimate_volume_rejection(build_two_opt_polytope(n), 500_000, seed=0, workers=2)
-        assert shapes == ([(100_000, dim)] * 2 + [(50_000, dim)]) * 2
+        assert shapes == pinned, n
+
+
+def test_rejection_draws_few_coordinates_per_sample(draw_shapes):
+    # The first block of 4 rows reads 13 of n = 12's 66 columns and rejects
+    # about 87% of the points, so a sample costs ~15.5 uniforms, not 66.
+    shapes = draw_shapes(polytopes, "mc_batches")
+    samples = 400_000
+    estimate_volume_rejection(build_two_opt_polytope(12), samples, seed=0)
+    assert sum(m * width for m, width in shapes) <= 20 * samples
+
+
+def test_rejection_never_draws_an_unread_column(draw_shapes):
+    shapes = draw_shapes(polytopes, "mc_batches")
+    half = Polytope(np.array([[1.0, -1.0, 0.0]]), np.zeros(1))
+    est = estimate_volume_rejection(half, 200_000, seed=1)
+    assert shapes and all(width == 2 for _, width in shapes)
+    assert abs(est.estimate - 0.5) <= 3 * est.stderr
+
+
+@pytest.mark.parametrize(
+    "n, samples, p_ref, se_ref",
+    # perfbench/reference.json, "fixed_tour_probability": 20M uniform draws
+    # at n = 8, 50M at n = 10, each tested against every row at once.
+    [(8, 2_000_000, 0.00121185, 7.779400425410367e-06),
+     (10, 4_000_000, 5.188e-05, 1.0186001027449388e-06)],
+)
+def test_rejection_matches_full_draw_reference_probability(n, samples, p_ref, se_ref):
+    # Past n = 5 the later blocks draw columns lazily; the census check at
+    # n = 5 never reaches one.
+    est = estimate_volume_rejection(build_two_opt_polytope(n), samples, seed=17, workers=2)
+    assert abs(est.estimate - p_ref) <= 3 * math.hypot(est.stderr, se_ref)
+
+
+def test_rejection_streams_whose_first_block_reads_every_column_are_unchanged():
+    # n = 5's first block and the simplex's one row read every column in
+    # natural order, so the draws are one (m, dim) array as before lazy
+    # columns; the values are pinned from that full-draw estimator.
+    five = estimate_volume_rejection(build_two_opt_polytope(5), 300_000, seed=7, workers=3)
+    assert five.estimate == 0.08972333333333334
+    assert estimate_volume_rejection(simplex(5), 300_000, seed=7).estimate == 0.00823
 
 
 def test_telescoping_empty_polytope():
