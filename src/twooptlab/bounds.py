@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chords import ChordDisjointSet, build_chord_disjoint_set, log_product_bound
-from .orthants import MCEstimate
-from .polytopes import build_two_opt_polytope, estimate_volume_rejection
+from .polytopes import MCEstimate, build_two_opt_polytope, estimate_volume_rejection
 from .rng import mc_batches
 
 # sqrt(pi/2) * exp(-1/(9 pi)): base of the per-tour probability bound.
@@ -64,6 +63,15 @@ def estimate_interaction_factor(
     return MCEstimate(estimate=mean, stderr=math.sqrt(var / samples), samples=samples)
 
 
+def _log_interaction(n: int, est: MCEstimate) -> float:
+    if est.estimate == 0.0:
+        raise ValueError(
+            f"the interaction factor at n={n} underflowed to 0.0 in double precision,"
+            " so its log is undefined"
+        )
+    return math.log(est.estimate)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Log-space bound table for one construction size."""
@@ -92,9 +100,9 @@ def counting_bounds(n: int, samples: int = 200_000, seed: int = 0, workers: int 
     s = build_chord_disjoint_set(n)
     product = log_product_bound(s)
     interaction = estimate_interaction_factor(s, samples, seed, workers=workers)
-    log_chain = math.log(interaction.estimate) + product
+    log_chain = _log_interaction(n, interaction) + product
     # Relative MC error propagates additively in log space.
-    log_stderr = interaction.stderr / interaction.estimate if interaction.estimate > 0 else float("inf")
+    log_stderr = interaction.stderr / interaction.estimate
     return BoundReport(
         n=n,
         log_per_tour_bound=log_per_tour_bound(n),
@@ -124,7 +132,7 @@ def interaction_slope(ns, samples: int, seed: int, workers: int = 1) -> dict:
         est = estimate_interaction_factor(
             build_chord_disjoint_set(n), samples, seed, workers=workers
         )
-        logs.append((n, math.log(est.estimate), est))
+        logs.append((n, _log_interaction(n, est), est))
     xs = np.array([row[0] for row in logs], dtype=float)
     ys = np.array([row[1] for row in logs])
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -17,9 +17,10 @@ Conditioned moments are sampled exactly by rejection up to dimension 8: the
 proposal is i.i.d. half-normals with precision lam I, lam the smallest
 eigenvalue of the precision P, accepted with probability
 exp(-x'(P - lam I)x / 2).  Beyond dimension 8, or when that acceptance
-collapses, a coordinate-update Gibbs chain takes over.  Both Monte Carlo
-loops here draw in the batches of ``rng.batch_rows`` and state only their row
-width, d.
+collapses, one coordinate-update Gibbs chain per call takes over and makes
+every draw.  Rejection draws in the batches of ``rng.batch_rows`` and states
+only its row width, d.  The orthant probability itself is one call to
+``polytopes.hit_rate``, the hit-or-miss screen behind the polytope volume.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import NotPositiveDefiniteError
-from .rng import batch_rows, mc_batches, worker_shares
+from .polytopes import MCEstimate, hit_rate
+from .rng import batch_rows, substream, worker_shares
 
 REJECTION_DIM_CAP = 8
 MIN_ACCEPT_RATE = 1e-4
@@ -105,23 +107,14 @@ def equicorrelated_spec(d: int) -> CovarianceSpec:
     return CovarianceSpec.from_precision(precision, closed_form=equicorrelated_closed_forms(d))
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    estimate: float
-    stderr: float
-    samples: int
-
-
 def orthant_prob_mc(spec: CovarianceSpec, samples: int, seed: int, workers: int = 1) -> MCEstimate:
-    """Monte-Carlo positive orthant probability via the covariance factor."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    hits = 0
-    for stream, m in mc_batches(seed, "orthant-mc", samples, workers, spec.d):
-        z = stream.standard_normal((m, spec.d)) @ spec.chol_covariance.T
-        hits += int(np.all(z > 0.0, axis=1).sum())
-    est = hits / samples
-    return MCEstimate(est, math.sqrt(est * (1.0 - est) / samples), samples)
+    """P(L x > 0), x standard normal and L the lower-triangular covariance factor.
+
+    ``hit_rate`` tests -L x <= 0 (equal up to a null set); row i reads only
+    x_0..x_i, so coordinates are drawn only for the points still inside.
+    """
+    rows, rhs = -spec.chol_covariance, np.zeros(spec.d)
+    return hit_rate(rows, rhs, "standard_normal", samples, seed, "orthant-mc", workers)
 
 
 @dataclass(frozen=True)
@@ -229,10 +222,13 @@ def truncated_moments_mc(
 ) -> TruncatedMoments:
     """Sampled E[Z_i Z_j] under positive-orthant conditioning.
 
-    Rejection sampling up to dimension 8; beyond that (or when the observed
-    acceptance rate drops below 1e-4) the coordinate-update chain takes over
-    and the switch is recorded on the result.  ``acceptance_rate`` pools the
-    accepted and attempted proposals of every worker that ran rejection.
+    Rejection sampling up to dimension 8, one share per worker.  Beyond that
+    (or when the observed acceptance rate drops below 1e-4) one
+    coordinate-update chain makes all ``accepted_samples`` draws, on worker
+    0's stream or on the collapsing worker's stream where its proposals
+    stopped, and the switch is recorded on the result; earlier workers'
+    draws are dropped.  ``acceptance_rate`` pools the accepted and attempted
+    proposals of every worker that ran rejection.
     The moments are reduced one matrix row at a time, so no (samples, d, d)
     array is built.
     """
@@ -242,18 +238,19 @@ def truncated_moments_mc(
         sampler = "rejection" if spec.d <= REJECTION_DIM_CAP else "gibbs"
     chunks = []
     accepted = attempted = 0
-    used = sampler
-    for stream, budget in worker_shares(seed, "truncated-moments", accepted_samples, workers):
-        if used == "rejection":
+    stream = substream(seed, "truncated-moments", 0)
+    if sampler == "rejection":
+        for stream, budget in worker_shares(seed, "truncated-moments", accepted_samples, workers):
             draws, got, tried = _rejection_orthant_draws(spec, budget, stream)
             accepted += got
             attempted += tried
             if draws is None:
-                used = "gibbs"  # acceptance collapsed; switch and record
-                draws = _gibbs_orthant_draws(spec, budget, stream)
-        else:
-            draws = _gibbs_orthant_draws(spec, budget, stream)
-        chunks.append(draws)
+                sampler = "gibbs"  # acceptance collapsed; switch and record
+                break
+            chunks.append(draws)
+    if sampler != "rejection":
+        # One chain makes every draw, so burn-in is paid once per call.
+        chunks = [_gibbs_orthant_draws(spec, accepted_samples, stream)]
     z = np.vstack(chunks)
     matrix = np.empty((spec.d, spec.d))
     spread = np.empty((spec.d, spec.d))
@@ -265,7 +262,7 @@ def truncated_moments_mc(
         matrix=matrix,
         stderr=spread / math.sqrt(len(z)),
         samples=len(z),
-        sampler=used,
+        sampler=sampler,
         acceptance_rate=accepted / attempted if attempted else None,
         draws=z,
     )

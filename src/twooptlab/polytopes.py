@@ -9,11 +9,12 @@ scans, and are written straight into one dense (rows, dim) matrix that every
 estimator reads.  The volume of the polytope equals the probability that a
 fixed tour is 2-optimal, so the census mean over random instances divided by
 the tour count is an independent check on it.  Two estimators are kept:
-plain rejection sampling, which screens the rows in blocks of doubling width
-against the points that survived the earlier blocks, drawing each coordinate
-only when the first block that reads it comes up and only for those
-survivors, in the batches of ``rng.mc_batches``; and a telescoped product of
-conditional acceptance rates.
+plain rejection sampling by ``hit_rate``, the one hit-or-miss screen over
+linear rows (``orthants.orthant_prob_mc`` calls it too), which tests the rows
+in blocks of doubling width against the points that survived the earlier
+blocks, drawing each coordinate only when the first block that reads it comes
+up and only for those survivors; and a telescoped product of conditional
+acceptance rates.
 The telescoping estimator adds one row per phase and samples each phase with
 many hit-and-run chains advanced in lock-step as one (chains, dim) array.
 Each phase's chains start at the previous phase's accepted samples, which
@@ -67,56 +68,62 @@ class VolumeEstimate:
     phases: tuple[float, ...] = field(default_factory=tuple)
 
 
-def estimate_volume_rejection(
-    p: Polytope, samples: int, seed: int, workers: int = 1
-) -> VolumeEstimate:
-    """Fraction of uniform box points satisfying every row.
+@dataclass(frozen=True)
+class MCEstimate:
+    estimate: float
+    stderr: float
+    samples: int
 
-    The rows are tested in blocks of doubling width (4, 8, 16, ...), each
-    block against only the points that satisfied every earlier block, so a
-    point pays for the rows up to the block that rejects it.  A column is
-    drawn when the first block that reads it comes up, and only for the
-    points that passed every earlier block: each batch draws, in block
-    order, one (survivors, new columns) array per block that reads new
-    columns, those in increasing order.  Columns no row reads are never
-    drawn, so a polytope without rows draws nothing and has volume 1.  A
-    counted point still has i.i.d. uniform coordinates in every column a
-    row reads and passes every row, so the hit count is binomial.
+
+def hit_rate(
+    rows: np.ndarray, rhs: np.ndarray, draw: str, samples: int, seed: int, tag: str, workers: int = 1
+) -> MCEstimate:
+    """Fraction of points x with i.i.d. coordinates satisfying ``rows @ x <= rhs``.
+
+    Coordinates come from the ``Generator`` method named ``draw``, in the
+    batches of ``rng.mc_batches(seed, tag, ...)``.  The rows are tested in
+    blocks of doubling width (4, 8, 16, ...), each against only the points
+    that passed every earlier block.  Each batch draws, in block order, one
+    (survivors, new columns) array per block that reads new columns, those
+    in increasing order; columns no row reads are never drawn, so a system
+    without rows has rate 1.  A counted point still has i.i.d. coordinates
+    in every column a row reads and passes every row: the count is binomial.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     edges = [0]
-    while edges[-1] < len(p.rhs):
-        edges.append(min(len(p.rhs), 2 * edges[-1] + 4))  # blocks of 4, 8, 16, ... rows
+    while edges[-1] < len(rhs):
+        edges.append(min(len(rhs), 2 * edges[-1] + 4))  # blocks of 4, 8, 16, ... rows
     # Columns in the order the blocks first read them; each block's test
     # reads the first `width` of them.
     order: list[int] = []
-    read = np.zeros(p.dim, dtype=bool)
+    read = np.zeros(rows.shape[1], dtype=bool)
     blocks = []
     for first, stop in zip(edges[:-1], edges[1:]):
-        first_read = np.flatnonzero(np.any(p.rows[first:stop] != 0, axis=0) & ~read)
+        first_read = np.flatnonzero(np.any(rows[first:stop] != 0, axis=0) & ~read)
         read[first_read] = True
         order.extend(first_read)
-        blocks.append((p.rows[first:stop, order], p.rhs[first:stop, None], len(order)))
+        blocks.append((rows[first:stop, order], rhs[first:stop, None], len(order)))
     hits = 0
-    for stream, m in mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, p.dim):
-        u = np.empty((m, 0))
+    for stream, m in mc_batches(seed, tag, samples, workers, rows.shape[1]):
+        x = np.empty((m, 0))
         for a, b, width in blocks:
-            if width > u.shape[1]:
-                new = stream.random((len(u), width - u.shape[1]))
-                u = np.hstack([u, new]) if u.shape[1] else new
+            if width > x.shape[1]:
+                new = getattr(stream, draw)((len(x), width - x.shape[1]))
+                x = np.hstack([x, new]) if x.shape[1] else new
             # (rows, points) so that the all() runs down the long axis.
-            u = u[np.all(a @ u.T <= b, axis=0)]
-        hits += len(u)
+            x = x[np.all(a @ x.T <= b, axis=0)]
+        hits += len(x)
     est = hits / samples
-    stderr = math.sqrt(est * (1.0 - est) / samples)
-    return VolumeEstimate(
-        estimate=est,
-        stderr=stderr,
-        samples=samples,
-        method="rejection",
-        zero_acceptance=(hits == 0),
-    )
+    return MCEstimate(est, math.sqrt(est * (1.0 - est) / samples), samples)
+
+
+def estimate_volume_rejection(
+    p: Polytope, samples: int, seed: int, workers: int = 1
+) -> VolumeEstimate:
+    """Fraction of uniform box points satisfying every row, by ``hit_rate``."""
+    est = hit_rate(p.rows, p.rhs, "random", samples, seed, f"volume-rejection:{p.dim}", workers)
+    return VolumeEstimate(est.estimate, est.stderr, samples, "rejection", est.estimate == 0.0)
 
 
 def _hit_and_run_chains(starts, a, b, thin, burn_in, rng):

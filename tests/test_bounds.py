@@ -19,6 +19,7 @@ from twooptlab import (
 from twooptlab import bounds
 from twooptlab.bounds import interaction_matrix, interaction_values
 from twooptlab.chords import ChordDisjointSet
+from twooptlab.polytopes import MCEstimate
 from twooptlab.rng import MC_BATCH_COORDINATES, substream
 
 SINGLE_PAIR = ChordDisjointSet(
@@ -116,6 +117,20 @@ def test_counting_bounds_no_underflow_up_to_1025():
             report.log_sqrt_factorial,
         ):
             assert math.isfinite(value)
+
+
+def underflowed_interaction(s, samples, seed, workers=1):
+    # What the plain Monte Carlo returns at n = 4097: every weight is 0.0.
+    return MCEstimate(estimate=0.0, stderr=0.0, samples=samples)
+
+
+def test_interaction_underflow_is_a_named_error(monkeypatch):
+    # The error names n and the underflow, not the bare "math domain error".
+    monkeypatch.setattr(bounds, "estimate_interaction_factor", underflowed_interaction)
+    with pytest.raises(ValueError, match="n=9 underflowed to 0.0"):
+        counting_bounds(9, samples=20)
+    with pytest.raises(ValueError, match="n=9 underflowed to 0.0"):
+        interaction_slope([9, 17], samples=20, seed=0)
 
 
 def test_interaction_slope_structure():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from twooptlab import cli, interaction_slope
+from twooptlab import bounds, cli, interaction_slope
 from twooptlab.cli import build_parser, main
 
 
@@ -234,6 +234,21 @@ def test_bad_inputs_emit_error(argv, reason, capsys):
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert reason in payload["reason"]
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--n", "9"], ["slope", "--ns", "9", "17"]])
+def test_interaction_underflow_emits_named_error(argv, monkeypatch, capsys):
+    # `bounds --n 4097` underflows the interaction estimate to 0.0, which
+    # has no log.
+    monkeypatch.setattr(
+        bounds, "estimate_interaction_factor",
+        lambda s, samples, seed, workers=1: bounds.MCEstimate(0.0, 0.0, samples),
+    )
+    code, out = run_cli(argv + ["--samples", "20"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert "n=9 underflowed to 0.0" in payload["reason"]
 
 
 @pytest.mark.parametrize(

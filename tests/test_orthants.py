@@ -16,7 +16,7 @@ from twooptlab import (
     second_moment_formula,
     truncated_moments_mc,
 )
-from twooptlab import orthants
+from twooptlab import orthants, polytopes
 from twooptlab.orthants import (
     MIN_ACCEPT_RATE,
     _gibbs_orthant_draws,
@@ -103,11 +103,35 @@ def test_orthant_mc_deterministic_given_seed_and_workers():
 
 
 def test_orthant_mc_batches_are_bounded_by_coordinates(draw_shapes):
-    # 200,000 rows of d = 256 would draw 51M coordinates at once.
-    shapes = draw_shapes(orthants, "mc_batches")
+    # 200,000 rows of d = 256 would draw 51M coordinates at once, so batches
+    # hold 51,562 points.  Each draws the 4 columns of the first row block,
+    # then each later block's new columns for its survivors only; once none
+    # survive, the remaining blocks draw empty arrays.
+    shapes = draw_shapes(polytopes, "mc_batches")
     orthant_prob_mc(identity_spec(256), 60_000, seed=0)
-    assert shapes == [(51_562, 256), (8_438, 256)]
+    assert shapes == [
+        (51_562, 4), (3_309, 8), (14, 16), (0, 32), (0, 64), (0, 128), (0, 4),
+        (8_438, 4), (529, 8), (1, 16), (0, 32), (0, 64), (0, 128), (0, 4),
+    ]
     assert all(m * width <= MC_BATCH_COORDINATES for m, width in shapes)
+
+
+def test_orthant_mc_draws_few_coordinates_per_sample(draw_shapes):
+    # Half the points fail each identity row, so a sample costs ~4.5 normals
+    # (the first block's 4, then a sixteenth of the points draw 8 more), not 64.
+    shapes = draw_shapes(polytopes, "mc_batches")
+    samples = 200_000
+    orthant_prob_mc(identity_spec(64), samples, seed=0)
+    assert shapes and sum(m * width for m, width in shapes) <= 6 * samples
+
+
+def test_orthant_mc_streams_up_to_d4_are_unchanged():
+    # Up to d = 4 the first row block reads every column in order, so the
+    # draws are one (m, d) array and the counts are those of the full
+    # z = x L' > 0 test on it, pinned here.
+    assert orthant_prob_mc(identity_spec(3), 200_000, seed=5).estimate == 0.12644
+    assert orthant_prob_mc(equicorrelated_spec(2), 200_000, seed=5).estimate == 0.210055
+    assert orthant_prob_mc(equicorrelated_spec(4), 200_000, seed=5, workers=3).estimate == 0.039505
 
 
 def test_rejection_moment_batches_are_capped_from_the_first(draw_shapes):
@@ -194,6 +218,43 @@ def test_gibbs_draws_are_pinned():
         hashlib.sha256(draws.tobytes()).hexdigest()
         == "666d454d943161ed2100e0e2088cf88a16aee9d1a828d2c8d52378614bf28f9a"
     )
+
+
+@pytest.mark.parametrize(
+    "spec, sampler",
+    [(equicorrelated_spec(9), None),
+     (CovarianceSpec.from_precision(np.eye(8) + 10 * np.ones((8, 8))), "rejection")],
+    ids=["gibbs-from-the-start", "after-rejection-collapse"],
+)
+def test_gibbs_runs_one_chain_per_call(spec, sampler, monkeypatch):
+    # One chain draws the whole budget, so its burn-in is paid once however
+    # many workers are asked for.
+    counts = []
+    chain = orthants._gibbs_orthant_draws
+
+    def recording(spec, count, rng, **kwargs):
+        counts.append(count)
+        return chain(spec, count, rng, **kwargs)
+
+    monkeypatch.setattr(orthants, "_gibbs_orthant_draws", recording)
+    moments = truncated_moments_mc(spec, 200, seed=11, workers=50, sampler=sampler)
+    assert moments.sampler == "gibbs" and moments.samples == 200
+    assert counts == [200]
+
+
+def test_gibbs_moments_with_one_worker_are_pinned():
+    # With one worker the chain runs on worker 0's stream, or on the
+    # collapsing worker's stream where its proposals stopped; these bytes pin
+    # both streams.
+    def digest(moments):
+        return hashlib.sha256(moments.matrix.tobytes()).hexdigest()
+
+    gibbs = truncated_moments_mc(equicorrelated_spec(12), 500, seed=11)
+    assert digest(gibbs) == "82393e3b2a072fb32fd5da924450fecfce67b5caada8da624fba7ca21e9cbcf3"
+    spec = CovarianceSpec.from_precision(np.eye(8) + 10 * np.ones((8, 8)))
+    collapsed = truncated_moments_mc(spec, 200, seed=27, sampler="rejection")
+    assert collapsed.sampler == "gibbs"
+    assert digest(collapsed) == "9daa74d4755155e7d498335a3069209f71f128ce1755dcca73eb651e3248de94"
 
 
 def test_gibbs_selected_beyond_rejection_cap():

@@ -10,6 +10,9 @@ from twooptlab import (
     enumerate_two_changes,
     estimate_volume_rejection,
     estimate_volume_telescoping,
+    equicorrelated_spec,
+    identity_spec,
+    orthant_prob_mc,
     pair_count,
     pair_index,
     random_instance,
@@ -81,35 +84,34 @@ def test_rejection_deterministic_given_seed_and_workers():
     assert abs(a.estimate - c.estimate) <= 3 * math.hypot(a.stderr, c.stderr)
 
 
-def lazy_draws_completed(p, samples, seed, workers):
-    """Replay the rejection estimator's documented draws as full (m, dim) points.
+def lazy_draws_completed(a, b, draw, samples, seed, tag, workers):
+    """Replay ``hit_rate``'s documented draws as full (m, dim) points.
 
     Per batch and in block order, each block's columns not drawn yet are
-    drawn, in increasing order, for the points that passed every earlier
-    block.  The columns a rejected point never got (and the columns no row
-    reads) are then filled from a separate substream, so every point is a
-    complete box point.
+    drawn, in increasing order and by the ``Generator`` method ``draw``, for
+    the points that passed every earlier block.  The columns a rejected point
+    never got (and the columns no row reads) are then filled from a separate
+    substream, so every point is a complete i.i.d. point.
     """
-    a, b = p.rows, p.rhs
+    dim = a.shape[1]
     edges = [0]
     while edges[-1] < len(b):
         edges.append(min(len(b), 2 * edges[-1] + 4))
-    for batch, (stream, m) in enumerate(
-        mc_batches(seed, f"volume-rejection:{p.dim}", samples, workers, p.dim)
-    ):
-        u = np.full((m, p.dim), np.nan)
-        drawn = np.zeros(p.dim, dtype=bool)
+    for batch, (stream, m) in enumerate(mc_batches(seed, tag, samples, workers, dim)):
+        u = np.full((m, dim), np.nan)
+        drawn = np.zeros(dim, dtype=bool)
         alive = np.ones(m, dtype=bool)
         for first, stop in zip(edges[:-1], edges[1:]):
             cols = np.flatnonzero(np.any(a[first:stop] != 0, axis=0))
             new = cols[~drawn[cols]]
             if len(new):
-                u[np.ix_(alive, new)] = stream.random((alive.sum(), len(new)))
+                u[np.ix_(alive, new)] = getattr(stream, draw)((alive.sum(), len(new)))
                 drawn[new] = True
             block = u[alive][:, cols] @ a[first:stop, cols].T <= b[first:stop]
             alive[alive] = np.all(block, axis=1)
         missing = np.isnan(u)
-        u[missing] = substream(seed, "lazy-draws-completion", batch).random(missing.sum())
+        completion = substream(seed, "lazy-draws-completion", batch)
+        u[missing] = getattr(completion, draw)(missing.sum())
         yield u
 
 
@@ -123,10 +125,32 @@ def test_rejection_screening_counts_what_the_full_test_counts(workers):
         p = build_two_opt_polytope(n)
         expected = sum(
             int(np.all(u @ p.rows.T <= p.rhs, axis=1).sum())
-            for u in lazy_draws_completed(p, samples, seed, workers)
+            for u in lazy_draws_completed(
+                p.rows, p.rhs, "random", samples, seed, f"volume-rejection:{p.dim}", workers
+            )
         )
         est = estimate_volume_rejection(p, samples, seed, workers=workers)
         assert round(est.estimate * samples) == expected, n
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("family", [identity_spec, equicorrelated_spec])
+def test_orthant_screening_counts_what_the_full_test_counts(family, workers):
+    # The orthant MC screens the rows of -L, L the lower-triangular factor,
+    # so row i draws x_i only for the points that passed rows 0..i-1 (in
+    # blocks); on the completed draws it must count z = L x > 0 exactly.
+    samples, seed = 60_000, 14
+    for d in range(5, 13):
+        spec = family(d)
+        rows, rhs = -spec.chol_covariance, np.zeros(d)
+        expected = sum(
+            int(np.all(x @ spec.chol_covariance.T > 0.0, axis=1).sum())
+            for x in lazy_draws_completed(
+                rows, rhs, "standard_normal", samples, seed, "orthant-mc", workers
+            )
+        )
+        est = orthant_prob_mc(spec, samples, seed, workers=workers)
+        assert round(est.estimate * samples) == expected, d
 
 
 def test_rejection_batches_are_bounded_by_coordinates(draw_shapes):
