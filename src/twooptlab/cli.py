@@ -10,6 +10,7 @@ verifications exit 1 with a machine-readable diagnostic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -219,7 +220,9 @@ def cmd_figure(args):
     return None, None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``twooptlab`` parser, built once per process; parsing never changes it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--workers", type=int, default=1)
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("slope", parents=[common, sampled], help="interaction-factor decay rate")
-    p.add_argument("--ns", type=int, nargs="+", default=[17, 33, 65])
+    p.add_argument("--ns", type=int, nargs="+", default=(17, 33, 65))
     p.set_defaults(func=cmd_slope)
 
     p = sub.add_parser("orthant", parents=[common, sampled], help="orthant probability suite")

@@ -222,13 +222,15 @@ def truncated_moments_mc(
 ) -> TruncatedMoments:
     """Sampled E[Z_i Z_j] under positive-orthant conditioning.
 
-    Rejection sampling up to dimension 8, one share per worker.  Beyond that
-    (or when the observed acceptance rate drops below 1e-4) one
-    coordinate-update chain makes all ``accepted_samples`` draws, on worker
-    0's stream or on the collapsing worker's stream where its proposals
-    stopped, and the switch is recorded on the result; earlier workers'
-    draws are dropped.  ``acceptance_rate`` pools the accepted and attempted
-    proposals of every worker that ran rejection.
+    ``sampler`` is "rejection" or "gibbs"; None picks rejection up to
+    dimension 8 and Gibbs beyond, and any other name raises ValueError.
+    Rejection sampling runs one share per worker.  Under Gibbs (or when the
+    observed acceptance rate drops below 1e-4) one coordinate-update chain
+    makes all ``accepted_samples`` draws, on worker 0's stream or on the
+    collapsing worker's stream where its proposals stopped, and the switch
+    is recorded on the result; earlier workers' draws are dropped.
+    ``acceptance_rate`` pools the accepted and attempted proposals of every
+    worker that ran rejection.
     The moments are reduced one matrix row at a time, so no (samples, d, d)
     array is built.
     """
@@ -236,6 +238,8 @@ def truncated_moments_mc(
         raise ValueError("accepted_samples must be >= 2")
     if sampler is None:
         sampler = "rejection" if spec.d <= REJECTION_DIM_CAP else "gibbs"
+    elif sampler not in ("rejection", "gibbs"):
+        raise ValueError(f"sampler must be 'rejection' or 'gibbs', got {sampler!r}")
     chunks = []
     accepted = attempted = 0
     stream = substream(seed, "truncated-moments", 0)

@@ -85,9 +85,10 @@ def hit_rate(
     blocks of doubling width (4, 8, 16, ...), each against only the points
     that passed every earlier block.  Each batch draws, in block order, one
     (survivors, new columns) array per block that reads new columns, those
-    in increasing order; columns no row reads are never drawn, so a system
-    without rows has rate 1.  A counted point still has i.i.d. coordinates
-    in every column a row reads and passes every row: the count is binomial.
+    in increasing order, and stops at the first block that leaves none;
+    columns no row reads are never drawn, so a system without rows has rate
+    1.  A counted point still has i.i.d. coordinates in every column a row
+    reads and passes every row: the count is binomial.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -113,6 +114,8 @@ def hit_rate(
                 x = np.hstack([x, new]) if x.shape[1] else new
             # (rows, points) so that the all() runs down the long axis.
             x = x[np.all(a @ x.T <= b, axis=0)]
+            if not len(x):
+                break  # no survivors: the later blocks would draw (0, k) arrays
         hits += len(x)
     est = hits / samples
     return MCEstimate(est, math.sqrt(est * (1.0 - est) / samples), samples)

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +21,10 @@ from twooptlab import (
     two_change_delta,
     two_optimal_tours,
 )
+from twooptlab import census
 from twooptlab.census import TransitionGraph
 from twooptlab.core import Instance, pair_count, pair_index
+from twooptlab.reduction import BaseGraph, build_reduction_instance, default_params
 from twooptlab.rng import substream
 
 
@@ -69,10 +74,14 @@ def tied_or_float_instances(draw):
     return Instance(n=n, weights=tuple(weights), mode="float")
 
 
+def _full_scan(inst):
+    return [t for t in enumerate_canonical_tours(inst.n) if is_two_optimal(inst, t)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(tied_or_float_instances())
 def test_pruned_census_equals_full_scan(inst):
-    full = [t for t in enumerate_canonical_tours(inst.n) if is_two_optimal(inst, t)]
+    full = _full_scan(inst)
     assert list(two_optimal_tours(inst)) == full
     assert count_two_optimal_exact(inst) == len(full)
 
@@ -82,6 +91,56 @@ def test_census_full_scan_keeps_every_tour():
     tours = list(two_optimal_tours(inst))
     assert len(tours) == 20_160
     assert tours == list(enumerate_canonical_tours(9))
+
+
+@pytest.mark.parametrize("magnitude", [2**61, 2**63, 2**80], ids=["2^61", "2^63", "2^80"])
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_census_is_exact_for_weights_near_int64_limits(n, magnitude):
+    # Half the weights sit a few units below the magnitude and half a few
+    # above 0, so deltas reach twice the magnitude and ties are decided by the
+    # lowest bits; int64 holds every delta below 2**61, Python ints beyond it.
+    rng = substream(n, "large-weights")
+    low = rng.integers(0, 4, pair_count(n)).tolist()
+    high = (rng.random(pair_count(n)) < 0.5).tolist()
+    weights = tuple(magnitude - 1 - r if h else r for r, h in zip(low, high))
+    inst = Instance(n=n, weights=weights, mode="exact")
+    assert census._weight_table(inst).dtype == (np.int64 if magnitude == 2**61 else object)
+    full = _full_scan(inst)
+    assert full and len(full) < len(list(enumerate_canonical_tours(n)))
+    assert list(two_optimal_tours(inst)) == full
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunk_boundaries_keep_the_full_scan_order(chunk, monkeypatch):
+    # Tiny chunks put boundaries inside every level of the frontier search.
+    monkeypatch.setattr(census, "_CHUNK_ORDERS", chunk)
+    rng = substream(chunk, "chunked-census")
+    for n in range(4, 9):
+        tied = tuple(int(w) for w in rng.integers(0, 3, pair_count(n)))
+        for inst in (Instance(n=n, weights=tied, mode="exact"), random_instance(n, seed=n)):
+            full = _full_scan(inst)
+            assert list(two_optimal_tours(inst)) == full
+            assert count_two_optimal_exact(inst) == len(full)
+
+
+def test_census_memory_is_bounded_by_the_chunk():
+    # Measured 0.65 MB chunked; the whole n = 9 frontier at once takes 3.9 MB.
+    tracemalloc.start()
+    try:
+        assert count_two_optimal_exact(constant_instance(9)) == 20_160
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_count_equals_tours_across_many_chunks():
+    k3 = BaseGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    inst = build_reduction_instance(k3, default_params(3, 6))
+    tours = list(two_optimal_tours(inst))
+    assert len(tours) == 20_160 > census._CHUNK_ORDERS
+    assert count_two_optimal_exact(inst) == len(tours)
+    assert [t.order for t in tours] == sorted(t.order for t in tours)
 
 
 def test_census_equals_graph_sinks():

@@ -212,6 +212,25 @@ def test_slope_command_is_reproducible_and_matches_library(tmp_path, capsys):
     assert payload == interaction_slope([9, 17], samples=20_000, seed=7)
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # The parser is cached, so a call that changed one of its defaults would
+    # change every later call; each artifact must equal a fresh process's.
+    assert build_parser() is build_parser()
+    argvs = {
+        "slope.json": ["slope", "--samples", "2000", "--seed", "3"],
+        "census.json": ["census", "--n", "7", "--seed", "3"],
+    }
+    for name, argv in argvs.items():
+        assert run_cli(argv + ["--out", str(tmp_path / f"in-{name}")], capsys)[0] == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "twooptlab.cli", *argv, "--out", str(tmp_path / name)],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert (tmp_path / f"in-{name}").read_bytes() == (tmp_path / name).read_bytes()
+    assert json.loads((tmp_path / "slope.json").read_text())["ns"] == [17, 33, 65]
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [

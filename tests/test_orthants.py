@@ -106,13 +106,10 @@ def test_orthant_mc_batches_are_bounded_by_coordinates(draw_shapes):
     # 200,000 rows of d = 256 would draw 51M coordinates at once, so batches
     # hold 51,562 points.  Each draws the 4 columns of the first row block,
     # then each later block's new columns for its survivors only; once none
-    # survive, the remaining blocks draw empty arrays.
+    # survive, the batch stops drawing.
     shapes = draw_shapes(polytopes, "mc_batches")
     orthant_prob_mc(identity_spec(256), 60_000, seed=0)
-    assert shapes == [
-        (51_562, 4), (3_309, 8), (14, 16), (0, 32), (0, 64), (0, 128), (0, 4),
-        (8_438, 4), (529, 8), (1, 16), (0, 32), (0, 64), (0, 128), (0, 4),
-    ]
+    assert shapes == [(51_562, 4), (3_309, 8), (14, 16), (8_438, 4), (529, 8), (1, 16)]
     assert all(m * width <= MC_BATCH_COORDINATES for m, width in shapes)
 
 
@@ -208,6 +205,13 @@ def test_gibbs_and_rejection_cross_validate_at_d5():
     diff = np.abs(rej.matrix - gib.matrix)
     tol = 3 * np.hypot(rej.stderr, gib.stderr)
     assert np.all(diff <= tol)
+
+
+@pytest.mark.parametrize("sampler", ["Rejection", "hit-and-run", ""])
+def test_unknown_sampler_is_refused(sampler):
+    # A misspelled name must not silently run the Gibbs chain under that name.
+    with pytest.raises(ValueError, match="'rejection' or 'gibbs'"):
+        truncated_moments_mc(identity_spec(3), 20, 0, sampler=sampler)
 
 
 def test_gibbs_draws_are_pinned():
