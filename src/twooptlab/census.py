@@ -4,11 +4,10 @@ The transition graph has a node per canonical tour and an arc for every
 strictly improving 2-change.  Arcs strictly decrease tour length, so the
 graph is acyclic and its sinks are exactly the 2-optimal tours; float
 rounding can still make a move and its reverse both look improving, and
-``transition_stats`` refuses such a cycle.  The exact census finds the same
-2-optimal tours by a prefix-pruned breadth-first search over numpy arrays of
-partial tours, which tests each 2-change once per array at the position
-that completes it.  The census routines are the ground-truth oracle for the
-probabilistic estimators.
+``transition_stats`` refuses such a cycle.  Both exhaustive scans, oracles
+for the estimators, test moves with one array kernel, ``_delta``: the graph
+applies each move to all tours at once and keeps its arcs as one (m, 2)
+array, and the census prunes a breadth-first search over partial tours.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .core import (
     ENUMERATION_CAP,
     Instance,
     Tour,
-    canonicalize,
     check_enumeration_cap,
     enumerate_canonical_tours,
     move_quadruples,
@@ -66,6 +64,19 @@ def _weight_table(inst: Instance) -> np.ndarray:
     return np.array(inst.weight_matrix(), dtype=dtype).ravel()
 
 
+def _delta(w: np.ndarray, orders: np.ndarray, scaled: np.ndarray, move) -> np.ndarray:
+    """Gain of the 2-change (a, b, c, d) on each column; ``scaled`` is ``orders * n``.
+
+    Left to right, as in the scalar formula, so float deltas round alike.
+    """
+    a, b, c, d = move
+    delta = w[scaled[a] + orders[b]]
+    delta += w[scaled[c] + orders[d]]
+    delta -= w[scaled[a] + orders[c]]
+    delta -= w[scaled[b] + orders[d]]
+    return delta
+
+
 def _two_optimal_orders(inst: Instance, cap: int) -> Iterator[np.ndarray]:
     """Vertex orders of the 2-optimal canonical tours, as (n, k) int16 blocks.
 
@@ -97,15 +108,10 @@ def _two_optimal_orders(inst: Instance, cap: int) -> Iterator[np.ndarray]:
         child = np.empty((p + 1, len(parent)), dtype=np.int16)
         child[:p] = front[:, parent]
         child[p] = vertex
-        scaled = child * n  # flat index of (u, v) in w is u * n + v
+        scaled = child * n
         improving = np.zeros(len(parent), dtype=bool)
-        for a, b, c, d in closing[p]:
-            # Left to right, as in the scalar formula, so float deltas round alike.
-            delta = w[scaled[a] + child[b]]
-            delta += w[scaled[c] + child[d]]
-            delta -= w[scaled[a] + child[c]]
-            delta -= w[scaled[b] + child[d]]
-            improving |= delta > 0
+        for move in closing[p]:
+            improving |= _delta(w, child, scaled, move) > 0
         return child[:, ~improving]
 
     def descend(front: np.ndarray, p: int) -> Iterator[np.ndarray]:
@@ -140,44 +146,41 @@ def count_two_optimal_exact(inst: Instance, cap: int = ENUMERATION_CAP) -> int:
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Improving-move DAG over canonical tours, nodes in lexicographic order."""
+    """Improving-move DAG over canonical tours, nodes in lexicographic order.
+
+    ``arcs`` is an (m, 2) integer array of (from, to) rows in increasing lexicographic order.
+    """
 
     n: int
     nodes: tuple[Tour, ...]
-    arcs: tuple[tuple[int, int], ...]
+    arcs: np.ndarray
 
-    def out_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.nodes]
-        for u, v in self.arcs:
-            adj[u].append(v)
-        return adj
-
-    def sinks(self) -> list[int]:
-        has_out = [False] * len(self.nodes)
-        for u, _ in self.arcs:
-            has_out[u] = True
-        return [i for i, out in enumerate(has_out) if not out]
+    def sinks(self) -> np.ndarray:
+        return np.setdiff1d(np.arange(len(self.nodes)), self.arcs[:, 0])
 
 
 def build_transition_graph(inst: Instance) -> TransitionGraph:
     """Full node and improving-arc sets; refuses n beyond ``ALL_TOURS_CAP``."""
     n = inst.n
     nodes = tuple(enumerate_canonical_tours(n, cap=ALL_TOURS_CAP))
-    index = {t.order: k for k, t in enumerate(nodes)}
-    w = inst.weight_matrix()
-    moves = move_quadruples(n)
-    zero = 0 if inst.mode == "exact" else 0.0
-    arcs = []
-    for k, tour in enumerate(nodes):
-        o = tour.order
-        for i, i1, j, j1 in moves:
-            a, b, c, d = o[i], o[i1], o[j], o[j1]
-            if w[a][b] + w[c][d] - w[a][c] - w[b][d] > zero:
-                # Reverse positions i+1..j; slice to j + 1, since j1 wraps to 0.
-                target = o[:i1] + o[i1 : j + 1][::-1] + o[j + 1 :]
-                arcs.append((k, index[canonicalize(target)]))
-    arcs.sort()
-    return TransitionGraph(n=n, nodes=nodes, arcs=tuple(arcs))
+    orders = np.array([t.order for t in nodes], dtype=np.int64).T
+    # Base-n keys, increasing over the nodes; n <= ALL_TOURS_CAP = 9 keeps n**n below 2**31.
+    radix = n ** np.arange(n - 1, -1, -1)
+    keys = radix @ orders
+    w = _weight_table(inst)
+    scaled = orders * n
+    sources, targets = [], []
+    for a, b, c, d in move_quadruples(n):
+        improving = np.flatnonzero(_delta(w, orders, scaled, (a, b, c, d)) > 0)
+        target = orders[:, improving]
+        target[b : c + 1] = target[b : c + 1][::-1]
+        flip = target[1] > target[n - 1]
+        target[1:, flip] = target[1:, flip][::-1]
+        sources.append(improving)
+        targets.append(np.searchsorted(keys, radix @ target))
+    src, dst = np.concatenate(sources), np.concatenate(targets)
+    rows = np.lexsort((dst, src))
+    return TransitionGraph(n=n, nodes=nodes, arcs=np.stack([src[rows], dst[rows]], axis=1))
 
 
 @dataclass(frozen=True)
@@ -205,39 +208,36 @@ def transition_stats(graph: TransitionGraph, walks: int = 1000, seed: int = 0) -
     """
     if walks < 0:
         raise ValueError(f"walks must be >= 0, got {walks}")
-    adj = graph.out_adjacency()
-    sinks = sum(1 for targets in adj if not targets)
+    count = len(graph.nodes)
+    src, dst = graph.arcs.T
+    out_degree = np.bincount(src, minlength=count)
+    sinks = int(np.count_nonzero(out_degree == 0))
 
     # Peel the sinks off layer by layer: a node leaves with its last
     # successor, so the layers after the first count the longest path.  Only
     # the arcs are read; float lengths that tie or round cannot shorten it.
-    preds: list[list[int]] = [[] for _ in graph.nodes]
-    for u, v in graph.arcs:
-        preds[v].append(u)
-    unpeeled = [len(targets) for targets in adj]
-    layer = [k for k, targets in enumerate(adj) if not targets]
-    peeled = layers = 0
-    while layer:
-        peeled += len(layer)
+    unpeeled = out_degree.copy()
+    layer = out_degree == 0
+    layers = 0
+    while layer.any():
         layers += 1
-        next_layer = []
-        for v in layer:
-            for u in preds[v]:
-                unpeeled[u] -= 1
-                if not unpeeled[u]:
-                    next_layer.append(u)
-        layer = next_layer
-    if peeled < len(graph.nodes):
+        hits = np.bincount(src[layer[dst]], minlength=count)
+        unpeeled -= hits
+        layer = (hits > 0) & (unpeeled == 0)
+    if unpeeled.any():
         raise ValueError("improving arcs form a cycle; no longest path exists")
     longest_path = max(layers - 1, 0)
 
+    # Node u's successors are targets[start[u]:start[u + 1]], in arc order.
+    start = [0] + np.cumsum(out_degree).tolist()
+    targets = dst.tolist()
     rng = substream(seed, "improving-walks")
     lengths = []
     for _ in range(walks):
-        node = int(rng.integers(len(graph.nodes)))
+        node = int(rng.integers(count))
         steps = 0
-        while adj[node]:
-            node = adj[node][int(rng.integers(len(adj[node])))]
+        while start[node + 1] > start[node]:
+            node = targets[start[node] + int(rng.integers(start[node + 1] - start[node]))]
             steps += 1
         lengths.append(steps)
     return TransitionStats(sinks=sinks, longest_path=longest_path, walk_lengths=tuple(lengths))

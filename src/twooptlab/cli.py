@@ -56,7 +56,7 @@ def _manifest(args: argparse.Namespace) -> dict:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "out", "command") and v is not None
+        if k not in ("func", "command", "out", "arcs_csv", "spectrum_csv") and v is not None
     }
     return {
         "command": args.command,
@@ -126,7 +126,7 @@ def cmd_tgraph(args):
     graph = build_transition_graph(_load_instance(args))
     stats = transition_stats(graph, walks=args.walks, seed=args.seed)
     if args.arcs_csv:
-        _write(_csv(args, ["from", "to"], [[u, v] for u, v in graph.arcs]), args.arcs_csv)
+        _write(_csv(args, ["from", "to"], graph.arcs.tolist()), args.arcs_csv)
     return stats.to_json_dict(), None
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from twooptlab import (
     CapExceededError,
     Tour,
+    apply_two_change,
     build_transition_graph,
     canonicalize,
     constant_instance,
@@ -93,9 +94,7 @@ def test_census_full_scan_keeps_every_tour():
     assert tours == list(enumerate_canonical_tours(9))
 
 
-@pytest.mark.parametrize("magnitude", [2**61, 2**63, 2**80], ids=["2^61", "2^63", "2^80"])
-@pytest.mark.parametrize("n", [6, 7, 8])
-def test_census_is_exact_for_weights_near_int64_limits(n, magnitude):
+def _near_limit_instance(n, magnitude):
     # Half the weights sit a few units below the magnitude and half a few
     # above 0, so deltas reach twice the magnitude and ties are decided by the
     # lowest bits; int64 holds every delta below 2**61, Python ints beyond it.
@@ -103,7 +102,13 @@ def test_census_is_exact_for_weights_near_int64_limits(n, magnitude):
     low = rng.integers(0, 4, pair_count(n)).tolist()
     high = (rng.random(pair_count(n)) < 0.5).tolist()
     weights = tuple(magnitude - 1 - r if h else r for r, h in zip(low, high))
-    inst = Instance(n=n, weights=weights, mode="exact")
+    return Instance(n=n, weights=weights, mode="exact")
+
+
+@pytest.mark.parametrize("magnitude", [2**61, 2**63, 2**80], ids=["2^61", "2^63", "2^80"])
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_census_is_exact_for_weights_near_int64_limits(n, magnitude):
+    inst = _near_limit_instance(n, magnitude)
     assert census._weight_table(inst).dtype == (np.int64 if magnitude == 2**61 else object)
     full = _full_scan(inst)
     assert full and len(full) < len(list(enumerate_canonical_tours(n)))
@@ -166,19 +171,33 @@ def test_census_cap_refusal():
 def test_graph_equal_weights_has_no_arcs():
     graph = build_transition_graph(constant_instance(5))
     assert len(graph.nodes) == 12
-    assert graph.arcs == ()
+    assert graph.arcs.shape == (0, 2)
 
 
-def test_graph_arc_count_matches_improving_pair_scan():
-    inst = random_instance(5, seed=8)
-    graph = build_transition_graph(inst)
-    improving = sum(
-        1
-        for tour in enumerate_canonical_tours(5)
-        for move in enumerate_two_changes(5)
+def _reference_arcs(inst):
+    nodes = list(enumerate_canonical_tours(inst.n))
+    index = {tour.order: k for k, tour in enumerate(nodes)}
+    return sorted(
+        (k, index[apply_two_change(tour, move).order])
+        for k, tour in enumerate(nodes)
+        for move in enumerate_two_changes(inst.n)
         if two_change_delta(inst, tour, move) > 0
     )
-    assert len(graph.arcs) == improving
+
+
+@pytest.mark.parametrize("weights", ["float", "tied", "2^61", "2^63", "2^80"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_graph_arcs_equal_the_scalar_move_scan(n, weights):
+    if weights == "float":
+        inst = random_instance(n, seed=8)
+    elif weights == "tied":
+        tied = substream(n, "tied-arcs").integers(0, 3, pair_count(n))
+        inst = Instance(n=n, weights=tuple(int(w) for w in tied), mode="exact")
+    else:
+        inst = _near_limit_instance(n, 2 ** int(weights[2:]))
+    graph = build_transition_graph(inst)
+    assert list(map(tuple, graph.arcs.tolist())) == _reference_arcs(inst)
+    assert [graph.nodes[k] for k in graph.sinks()] == list(two_optimal_tours(inst))
 
 
 def test_graph_arcs_strictly_decrease_length():
@@ -205,7 +224,7 @@ def test_stats_on_arcless_graph():
 
 def test_stats_on_hand_built_chain():
     nodes = tuple(enumerate_canonical_tours(4))
-    graph = TransitionGraph(n=4, nodes=nodes, arcs=((0, 1), (1, 2)))
+    graph = TransitionGraph(n=4, nodes=nodes, arcs=np.array([[0, 1], [1, 2]]))
     stats = transition_stats(graph, walks=200, seed=1)
     assert stats.sinks == 1
     assert stats.longest_path == 2
@@ -216,7 +235,7 @@ def test_stats_longest_path_ignores_tied_lengths():
     # Equal computed lengths along improving arcs (float rounding can do this)
     # must not shorten the longest path.
     nodes = tuple(enumerate_canonical_tours(4))
-    graph = TransitionGraph(n=4, nodes=nodes, arcs=((0, 1), (1, 2)))
+    graph = TransitionGraph(n=4, nodes=nodes, arcs=np.array([[0, 1], [1, 2]]))
     assert transition_stats(graph, walks=10, seed=1).longest_path == 2
 
 
@@ -225,7 +244,7 @@ def test_stats_refuses_float_rounding_cycle():
     # between tours 0 and 5, so no longest path exists.
     weights = (0.3, 0.2, 0.6, 0.2, 2.2, 2.2, 2.2, 1.1, 0.7, 0.2)
     graph = build_transition_graph(Instance(n=5, weights=weights, mode="float"))
-    assert {(0, 5), (5, 0)} <= set(graph.arcs)
+    assert {(0, 5), (5, 0)} <= set(map(tuple, graph.arcs.tolist()))
     with pytest.raises(ValueError, match="cycle"):
         transition_stats(graph, walks=10, seed=1)
 
@@ -258,5 +277,5 @@ def test_exact_mode_census_uses_strict_improvement():
     # Zero-improvement moves must not count as improving in exact mode.
     inst = constant_instance(6, value=7)
     graph = build_transition_graph(inst)
-    assert graph.arcs == ()
+    assert len(graph.arcs) == 0
     assert count_two_optimal_exact(inst) == len(list(enumerate_canonical_tours(6)))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -118,6 +119,61 @@ def test_tgraph_report_shape(tmp_path, capsys):
     lines = arcs_path.read_text().splitlines()
     assert lines[0].startswith("# manifest: ")
     assert lines[1] == "from,to"
+
+
+@pytest.mark.parametrize(
+    "argv, side_flag",
+    [
+        (["tgraph", "--n", "6", "--seed", "1", "--walks", "50"], "--arcs-csv"),
+        (["construct-s", "--n", "9"], "--spectrum-csv"),
+    ],
+    ids=["tgraph", "construct-s"],
+)
+def test_artifacts_do_not_depend_on_the_output_directory(argv, side_flag, tmp_path, capsys):
+    written = []
+    for where in (tmp_path / "a", tmp_path / "somewhere" / "else"):
+        where.mkdir(parents=True)
+        out, side = where / "artifact.json", where / "side.csv"
+        assert run_cli(argv + ["--out", str(out), side_flag, str(side)], capsys)[0] == 0
+        written.append((out.read_bytes(), side.read_bytes()))
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "argv, artifact_sha256, rows_sha256",
+    [
+        (
+            ["--n", "8", "--seed", "0"],
+            "95d71b68c136b704167b9b9834434c106aa55a6e66a91f562b2b066ff78d315e",
+            "a13f25d63bbb85dd89c3788cb014fa2981a20ccd3cca568bf758e9e1a02dd598",
+        ),
+        (
+            ["--n", "8", "--seed", "1"],
+            "4c20fbf7cdb7733c2947bc7607153b1c3a1ade780cc0b9d3377dfb9f7b3c2876",
+            "f42867669ba5bbe7d30205962d4a1fdff7d88ddaa83a08ec891730366b9d2005",
+        ),
+        (
+            ["--n", "8", "--seed", "2"],
+            "36d95a23b05acb40cbb48b1697c4d254e2806f8cfe783ac7effbd8a9158509be",
+            "53a18d6141309d126bf330b072376b044b74076e2ceaa9823f7338d387af4d1e",
+        ),
+        (
+            ["--n", "7", "--equal-weights"],
+            "8dac536540a13a1e7c89da4b851ec96e643d1654b13a58987182b3b6b3fc626e",
+            "576697c4afba1c8b3279ef5ed172ae77c79c87b26f2e3729f313bfd2e190b235",
+        ),
+    ],
+    ids=["n8-seed0", "n8-seed1", "n8-seed2", "n7-equal-weights"],
+)
+def test_tgraph_bytes_are_pinned(argv, artifact_sha256, rows_sha256, tmp_path, capsys, monkeypatch):
+    # The JSON artifact whole, and the arcs CSV below its manifest line.
+    monkeypatch.chdir(tmp_path)
+    argv = ["tgraph", *argv, "--walks", "1000"]
+    assert run_cli(argv + ["--out", "stats.json"], capsys)[0] == 0
+    assert run_cli(argv + ["--arcs-csv", "arcs.csv"], capsys)[0] == 0
+    rows = Path("arcs.csv").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(Path("stats.json").read_bytes()).hexdigest() == artifact_sha256
+    assert hashlib.sha256(rows).hexdigest() == rows_sha256
 
 
 def test_reduce_p3_reports_both_models(tmp_path, capsys):
