@@ -8,12 +8,30 @@ rounding can still make a move and its reverse both look improving, and
 for the estimators, test moves with one array kernel, ``_delta``: the graph
 applies each move to all tours at once and keeps its arcs as one (m, 2)
 array, and the census prunes a breadth-first search over partial tours.
+
+The census counts once per orbit of the instance's twin classes.  Vertices u
+and v are twins when w(u, x) = w(v, x) for every other vertex x, as the
+interchangeable auxiliaries of the reduction instances are.  Swapping twins
+maps each 2-change delta to one with the same four weights in the same
+roles, so float deltas round alike and 2-optimality is kept.  The group G of
+twin permutations fixing vertex 0, of order |G| = prod_C |C - {0}|!, acts
+freely on vertex orders that start with 0, and each orbit has one gated
+representative: the one that places each twin class, vertex 0 left out, in
+increasing order.  With exact weights, reflection keeps 2-optimality too, so
+the count is |G| * P / 2 over the P gated 2-optimal orders in either
+direction.  A float delta and its reflection subtract the same terms in
+another order and may round apart, so the search tests each order only in
+its own direction: a 2-optimal gated order o stands for the g in G with
+g(o[1]) < g(o[n-1]), the canonical members of its orbit.  A gated o[1] is the
+least of its class and o[n-1] the greatest of its own, so orders with
+o[1] > o[n-1] stand for none, and the search keeps the canonical rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +82,25 @@ def _weight_table(inst: Instance) -> np.ndarray:
     return np.array(inst.weight_matrix(), dtype=dtype).ravel()
 
 
+def _twin_classes(inst: Instance) -> list[list[int]]:
+    """Twin classes in increasing order: u, v are twins when w(u, x) = w(v, x) for every other x.
+
+    Twins share their weights to each other as well, so the relation is an
+    equivalence and comparing with a class's first member suffices.
+    """
+    w = inst.weight_matrix()
+    classes: list[list[int]] = []
+    for v in range(inst.n):
+        for cls in classes:
+            u = cls[0]
+            if all(w[u][x] == w[v][x] for x in range(inst.n) if x != u and x != v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
 def _delta(w: np.ndarray, orders: np.ndarray, scaled: np.ndarray, move) -> np.ndarray:
     """Gain of the 2-change (a, b, c, d) on each column; ``scaled`` is ``orders * n``.
 
@@ -77,7 +114,9 @@ def _delta(w: np.ndarray, orders: np.ndarray, scaled: np.ndarray, move) -> np.nd
     return delta
 
 
-def _two_optimal_orders(inst: Instance, cap: int) -> Iterator[np.ndarray]:
+def _two_optimal_orders(
+    inst: Instance, cap: int, gate: Sequence[Sequence[int]] = ()
+) -> Iterator[np.ndarray]:
     """Vertex orders of the 2-optimal canonical tours, as (n, k) int16 blocks.
 
     Each column is one order; columns come in lexicographic order, block after
@@ -89,19 +128,29 @@ def _two_optimal_orders(inst: Instance, cap: int) -> Iterator[np.ndarray]:
     position, max(c, d), is p; a child survives only if none of them strictly
     improves.  Filling the last position first applies the canonical rule
     order[1] < order[n-1].
+
+    ``gate`` lists vertex classes, each in increasing order and without
+    vertex 0; a member may fill a position only after every smaller member of
+    its class.
     """
     n = inst.n
     check_enumeration_cap(n, cap)
     w = _weight_table(inst)
+    # Vertex v may be placed once vertex after[v] is; column n of ``used`` is always set.
+    after = np.full(n, n)
+    for cls in gate:
+        after[cls[1:]] = cls[:-1]
     closing: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for a, b, c, d in move_quadruples(n):
         closing[max(c, d)].append((a, b, c, d))
 
     def extend(front: np.ndarray, p: int) -> np.ndarray:
         k = front.shape[1]
-        used = np.zeros((k, n), dtype=bool)
+        used = np.zeros((k, n + 1), dtype=bool)
+        used[:, n] = True
         used[np.arange(k), front] = True
-        parent, vertex = np.nonzero(~used)  # row-major: by parent, then vertex
+        free = ~used[:, :n] & used[:, after]
+        parent, vertex = np.nonzero(free)  # row-major: by parent, then vertex
         if p == n - 1:
             keep = front[1, parent] < vertex
             parent, vertex = parent[keep], vertex[keep]
@@ -140,8 +189,25 @@ def two_optimal_tours(inst: Instance, cap: int = ENUMERATION_CAP) -> Iterator[To
 
 
 def count_two_optimal_exact(inst: Instance, cap: int = ENUMERATION_CAP) -> int:
-    """Exact number of 2-optimal canonical tours."""
-    return sum(block.shape[1] for block in _two_optimal_orders(inst, cap))
+    """Exact number of 2-optimal canonical tours, searched once per twin-class orbit.
+
+    See the module docstring; without twins every canonical tour is searched.
+    """
+    n = inst.n
+    movable = [[v for v in cls if v] for cls in _twin_classes(inst)]
+    # ends[x * n + y] counts the surviving orders with order[1] = x and order[n-1] = y.
+    ends = np.zeros(n * n, dtype=np.int64)
+    for block in _two_optimal_orders(inst, cap, movable):
+        ends += np.bincount(block[1] * n + block[-1], minlength=n * n)
+    twins = {v: cls for cls in movable for v in cls}
+    group = math.prod(math.factorial(len(cls)) for cls in movable)
+    total = 0
+    for key in np.flatnonzero(ends).tolist():
+        # G maps (x, y) onto each pair of distinct vertices of their classes equally often.
+        x, y = divmod(key, n)
+        pairs = [(a, b) for a in twins[x] for b in twins[y] if a != b]
+        total += int(ends[key]) * (group // len(pairs)) * sum(a < b for a, b in pairs)
+    return total
 
 
 @dataclass(frozen=True)
@@ -213,17 +279,22 @@ def transition_stats(graph: TransitionGraph, walks: int = 1000, seed: int = 0) -
     out_degree = np.bincount(src, minlength=count)
     sinks = int(np.count_nonzero(out_degree == 0))
 
-    # Peel the sinks off layer by layer: a node leaves with its last
-    # successor, so the layers after the first count the longest path.  Only
+    # Peel the sources off layer by layer: a node leaves with its last
+    # predecessor, so the layers after the first count the longest path.  Only
     # the arcs are read; float lengths that tie or round cannot shorten it.
-    unpeeled = out_degree.copy()
-    layer = out_degree == 0
+    # Node u's out-arcs are the out_degree[u] rows from first[u] on, so each
+    # layer reads only its own arcs.
+    first = np.cumsum(out_degree) - out_degree
+    unpeeled = np.bincount(dst, minlength=count)
+    layer = np.flatnonzero(unpeeled == 0)
     layers = 0
-    while layer.any():
+    while len(layer):
         layers += 1
-        hits = np.bincount(src[layer[dst]], minlength=count)
+        begin, size = first[layer], out_degree[layer]
+        arcs = np.repeat(begin - np.cumsum(size) + size, size) + np.arange(size.sum())
+        hits = np.bincount(dst[arcs], minlength=count)
         unpeeled -= hits
-        layer = (hits > 0) & (unpeeled == 0)
+        layer = np.flatnonzero((hits > 0) & (unpeeled == 0))
     if unpeeled.any():
         raise ValueError("improving arcs form a cycle; no longest path exists")
     longest_path = max(layers - 1, 0)

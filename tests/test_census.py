@@ -24,7 +24,7 @@ from twooptlab import (
 )
 from twooptlab import census
 from twooptlab.census import TransitionGraph
-from twooptlab.core import Instance, pair_count, pair_index
+from twooptlab.core import Instance, all_pairs, pair_count, pair_index
 from twooptlab.reduction import BaseGraph, build_reduction_instance, default_params
 from twooptlab.rng import substream
 
@@ -129,10 +129,13 @@ def test_chunk_boundaries_keep_the_full_scan_order(chunk, monkeypatch):
 
 
 def test_census_memory_is_bounded_by_the_chunk():
-    # Measured 0.65 MB chunked; the whole n = 9 frontier at once takes 3.9 MB.
+    # The ungated search keeps every tour of this one-class instance, which
+    # the census itself settles with a single order.  Measured 0.65 MB
+    # chunked; the whole n = 9 frontier at once takes 3.9 MB.
     tracemalloc.start()
     try:
-        assert count_two_optimal_exact(constant_instance(9)) == 20_160
+        blocks = census._two_optimal_orders(constant_instance(9), 9)
+        assert sum(block.shape[1] for block in blocks) == 20_160
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -146,6 +149,72 @@ def test_count_equals_tours_across_many_chunks():
     assert len(tours) == 20_160 > census._CHUNK_ORDERS
     assert count_two_optimal_exact(inst) == len(tours)
     assert [t.order for t in tours] == sorted(t.order for t in tours)
+
+
+_P3 = BaseGraph.from_edges(3, [(0, 1), (1, 2)])
+_K3 = BaseGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+_P4 = BaseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+_C4 = BaseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+@pytest.mark.parametrize(
+    "inst, classes",
+    [
+        (build_reduction_instance(_K3, default_params(3, 6)), [[0, 1, 2], [3, 4, 5, 6, 7, 8]]),
+        (build_reduction_instance(_C4, default_params(4, 5)), [[0, 2], [1, 3], [4, 5, 6, 7, 8]]),
+        (random_instance(8, seed=0), [[v] for v in range(8)]),
+        (constant_instance(7), [list(range(7))]),
+    ],
+    ids=["K3-m6", "C4-m5", "random", "constant"],
+)
+def test_twin_classes(inst, classes):
+    assert census._twin_classes(inst) == classes
+
+
+@pytest.mark.parametrize("graph", [_P3, _K3, _P4, _C4], ids=["P3", "K3", "P4", "C4"])
+def test_quotient_count_equals_the_listed_tours_on_reduction_instances(graph):
+    for m in range(graph.nv + 1, min(2 * graph.nv, 10 - graph.nv) + 1):
+        inst = build_reduction_instance(graph, default_params(graph.nv, m))
+        assert count_two_optimal_exact(inst) == len(list(two_optimal_tours(inst)))
+
+
+@st.composite
+def planted_twin_instances(draw):
+    # Every vertex copies the weights of its class's first member, and the
+    # pairs inside a class share one weight, so each class is a set of twins.
+    n = draw(st.integers(5, 8))
+    label = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    members = [[u for u in range(n) if label[u] == label[v]] for v in range(n)]
+    mode = draw(st.sampled_from(["exact", "float"]))
+    values = st.integers(0, 3) if mode == "exact" else st.floats(0.0, 1.0)
+    base = draw(st.lists(values, min_size=pair_count(n), max_size=pair_count(n)))
+
+    def source(i, j):
+        return (members[i][0], members[j][0]) if label[i] != label[j] else members[i][:2]
+
+    weights = tuple(base[pair_index(*source(i, j), n)] for i, j in all_pairs(n))
+    return Instance(n=n, weights=weights, mode=mode), members
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=30, deadline=None)
+@given(planted_twin_instances())
+def test_quotient_census_equals_full_scan_with_planted_twins(chunk, planted):
+    inst, members = planted
+    classes = census._twin_classes(inst)
+    assert all(any(set(cls) <= set(found) for found in classes) for cls in members)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "_CHUNK_ORDERS", chunk)
+        assert count_two_optimal_exact(inst) == len(_full_scan(inst))
+
+
+def test_float_twins_count_the_canonical_members_of_each_orbit():
+    # The deltas of a tour and of its reflection subtract the same weights in
+    # another order and round apart here, so |G| * P / 2 would give 3.
+    weights = (0.1, 0.1, 0.6, 0.1, 0.1, 2.2, 0.1, 2.2, 0.1, 2.2)
+    inst = Instance(n=5, weights=weights, mode="float")
+    assert census._twin_classes(inst) == [[0], [1, 2, 4], [3]]
+    assert count_two_optimal_exact(inst) == len(_full_scan(inst)) == 4
 
 
 def test_census_equals_graph_sinks():
@@ -237,6 +306,27 @@ def test_stats_longest_path_ignores_tied_lengths():
     nodes = tuple(enumerate_canonical_tours(4))
     graph = TransitionGraph(n=4, nodes=nodes, arcs=np.array([[0, 1], [1, 2]]))
     assert transition_stats(graph, walks=10, seed=1).longest_path == 2
+
+
+def _longest_path_dp(graph):
+    successors = [[] for _ in graph.nodes]
+    for u, v in graph.arcs.tolist():
+        successors[u].append(v)
+    longest = {}
+
+    def walk(u):
+        if u not in longest:
+            longest[u] = max((1 + walk(v) for v in successors[u]), default=0)
+        return longest[u]
+
+    return max(walk(u) for u in range(len(graph.nodes)))
+
+
+def test_stats_longest_path_equals_a_python_dp():
+    rng = substream(9, "longest-path")
+    for n in (6, 6, 7, 7, 8, 8):
+        graph = build_transition_graph(random_instance(n, seed=int(rng.integers(100_000))))
+        assert transition_stats(graph, walks=0).longest_path == _longest_path_dp(graph)
 
 
 def test_stats_refuses_float_rounding_cycle():

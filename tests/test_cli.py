@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -390,6 +391,22 @@ def test_huge_flag_is_accepted_by_census_and_reduce(tmp_path, capsys):
     code, out = run_cli(["reduce", "--graph", str(edges), "--i-know-this-is-huge"], capsys)
     assert code == 0
     assert json.loads(out)["manifest"]["params"]["i_know_this_is_huge"] is True
+
+
+def test_reduce_p4_under_the_huge_flag_is_fast(tmp_path, capsys):
+    # The twin-class quotient counts the n = 12 census of the m = 8 instance
+    # in milliseconds; the corrected model stays rank-deficient at nv = 4.
+    edges = tmp_path / "p4.edges"
+    edges.write_text("0 1\n1 2\n2 3\n")
+    out_path = tmp_path / "report.json"
+    start = time.perf_counter()
+    code, out = run_cli(["reduce", "--graph", str(edges), "--i-know-this-is-huge",
+                         "--out", str(out_path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(out_path.read_text())["b"] == [7800, 79920, 882000, 10483200]
+    assert json.loads(out) == {
+        "status": "failed", "reason": "corrected-model recovery disagrees with brute force"}
 
 
 def test_readme_commands_parse():

@@ -235,6 +235,10 @@ def test_census_vector_cap():
         census_vector(P4)
 
 
+def test_census_vector_p4_under_the_hard_cap():
+    assert census_vector(P4, cap=12) == [7800, 79920, 882000, 10483200]
+
+
 def test_hamiltonian_path_counts():
     # The brute-force size-1 cover count is the reference value.
     assert count_path_covers_bruteforce(P3)[0] == 1
