@@ -5,9 +5,10 @@ strictly improving 2-change.  Arcs strictly decrease tour length, so the
 graph is acyclic and its sinks are exactly the 2-optimal tours; float
 rounding can still make a move and its reverse both look improving, and
 ``transition_stats`` refuses such a cycle.  Both exhaustive scans, oracles
-for the estimators, test moves with one array kernel, ``_delta``: the graph
-applies each move to all tours at once and keeps its arcs as one (m, 2)
-array, and the census prunes a breadth-first search over partial tours.
+for the estimators, share one search and one array kernel, ``_delta``: the
+census prunes a breadth-first search over partial tours, and the graph runs it
+on equal weights, where every canonical order survives, then applies each move
+to all of them at once and keeps its arcs as one (m, 2) array.
 
 The census counts once per orbit of the instance's twin classes.  Vertices u
 and v are twins when w(u, x) = w(v, x) for every other vertex x, as the
@@ -30,6 +31,7 @@ o[1] > o[n-1] stand for none, and the search keeps the canonical rule.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -40,17 +42,24 @@ from .core import (
     ENUMERATION_CAP,
     Instance,
     Tour,
+    canonicalize,
     check_enumeration_cap,
-    enumerate_canonical_tours,
+    constant_instance,
     move_quadruples,
 )
 from .rng import substream
 
 
 def is_two_optimal(inst: Instance, tour: Tour) -> bool:
-    """True iff no 2-change strictly improves the tour."""
+    """True iff no 2-change strictly improves the cycle, read as its canonical order.
+
+    The censuses test canonical orders, so both directions of a cycle get the
+    answer they count even where float deltas of the reflection round apart.
+    """
+    if tour.n != inst.n:
+        raise ValueError(f"tour has {tour.n} vertices, instance has {inst.n}")
     w = inst.weight_matrix()
-    o = tour.order
+    o = canonicalize(tour.order)
     zero = 0 if inst.mode == "exact" else 0.0
     return not any(
         w[o[a]][o[b]] + w[o[c]][o[d]] - w[o[a]][o[c]] - w[o[b]][o[d]] > zero
@@ -212,24 +221,25 @@ def count_two_optimal_exact(inst: Instance, cap: int = ENUMERATION_CAP) -> int:
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Improving-move DAG over canonical tours, nodes in lexicographic order.
+    """Improving-move DAG over canonical tours; node k is row k of the sorted ``orders``.
 
     ``arcs`` is an (m, 2) integer array of (from, to) rows in increasing lexicographic order.
     """
 
     n: int
-    nodes: tuple[Tour, ...]
+    orders: np.ndarray
     arcs: np.ndarray
 
     def sinks(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(len(self.nodes)), self.arcs[:, 0])
+        return np.setdiff1d(np.arange(len(self.orders)), self.arcs[:, 0])
 
 
 def build_transition_graph(inst: Instance) -> TransitionGraph:
     """Full node and improving-arc sets; refuses n beyond ``ALL_TOURS_CAP``."""
     n = inst.n
-    nodes = tuple(enumerate_canonical_tours(n, cap=ALL_TOURS_CAP))
-    orders = np.array([t.order for t in nodes], dtype=np.int64).T
+    # No 2-change strictly improves under equal weights, so the search keeps every canonical order.
+    blocks = _two_optimal_orders(constant_instance(n), ALL_TOURS_CAP)
+    orders = np.concatenate(list(blocks), axis=1).astype(np.int64)
     # Base-n keys, increasing over the nodes; n <= ALL_TOURS_CAP = 9 keeps n**n below 2**31.
     radix = n ** np.arange(n - 1, -1, -1)
     keys = radix @ orders
@@ -246,7 +256,7 @@ def build_transition_graph(inst: Instance) -> TransitionGraph:
         targets.append(np.searchsorted(keys, radix @ target))
     src, dst = np.concatenate(sources), np.concatenate(targets)
     rows = np.lexsort((dst, src))
-    return TransitionGraph(n=n, nodes=nodes, arcs=np.stack([src[rows], dst[rows]], axis=1))
+    return TransitionGraph(n=n, orders=orders.T, arcs=np.stack([src[rows], dst[rows]], axis=1))
 
 
 @dataclass(frozen=True)
@@ -256,13 +266,10 @@ class TransitionStats:
     walk_lengths: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        hist: dict[str, int] = {}
-        for length in self.walk_lengths:
-            hist[str(length)] = hist.get(str(length), 0) + 1
         return {
             "sinks": self.sinks,
             "longest_path": self.longest_path,
-            "walk_lengths": hist,
+            "walk_lengths": dict(Counter(map(str, self.walk_lengths))),
         }
 
 
@@ -274,7 +281,7 @@ def transition_stats(graph: TransitionGraph, walks: int = 1000, seed: int = 0) -
     """
     if walks < 0:
         raise ValueError(f"walks must be >= 0, got {walks}")
-    count = len(graph.nodes)
+    count = len(graph.orders)
     src, dst = graph.arcs.T
     out_degree = np.bincount(src, minlength=count)
     sinks = int(np.count_nonzero(out_degree == 0))
@@ -299,16 +306,14 @@ def transition_stats(graph: TransitionGraph, walks: int = 1000, seed: int = 0) -
         raise ValueError("improving arcs form a cycle; no longest path exists")
     longest_path = max(layers - 1, 0)
 
-    # Node u's successors are targets[start[u]:start[u + 1]], in arc order.
-    start = [0] + np.cumsum(out_degree).tolist()
-    targets = dst.tolist()
+    first, degree, targets = first.tolist(), out_degree.tolist(), dst.tolist()
     rng = substream(seed, "improving-walks")
     lengths = []
     for _ in range(walks):
         node = int(rng.integers(count))
         steps = 0
-        while start[node + 1] > start[node]:
-            node = targets[start[node] + int(rng.integers(start[node + 1] - start[node]))]
+        while degree[node]:
+            node = targets[first[node] + int(rng.integers(degree[node]))]
             steps += 1
         lengths.append(steps)
     return TransitionStats(sinks=sinks, longest_path=longest_path, walk_lengths=tuple(lengths))

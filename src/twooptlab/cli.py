@@ -86,14 +86,14 @@ def _csv(args: argparse.Namespace, header: list[str], rows: list[list]) -> str:
 
 
 def _load_instance(args: argparse.Namespace) -> Instance:
-    if getattr(args, "instance", None):
+    if args.instance:
         data = json.loads(Path(args.instance).read_text())
         if isinstance(data, dict) and "instance" in data:
             data = data["instance"]  # a `gen` artifact nests it next to the manifest
         return Instance.from_json_dict(data)
     if args.n is None:
         raise ValueError("need --n or --instance")
-    if getattr(args, "equal_weights", False):
+    if args.equal_weights:
         return constant_instance(args.n, value=1)
     return random_instance(args.n, args.seed)
 
@@ -233,6 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     huge = argparse.ArgumentParser(add_help=False)
     huge.add_argument("--i-know-this-is-huge", action="store_true",
                       help=f"raise the census cap to the hard ceiling of {ENUMERATION_HARD_CAP}")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--n", type=int)
+    instance.add_argument("--equal-weights", action="store_true")
+    instance.add_argument("--instance", type=str, default=None)
 
     parser = argparse.ArgumentParser(prog="twooptlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,16 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("census", parents=[common, huge], help="exact 2-optimal tour count")
-    p.add_argument("--n", type=int)
-    p.add_argument("--equal-weights", action="store_true")
-    p.add_argument("--instance", type=str, default=None)
+    p = sub.add_parser("census", parents=[common, huge, instance], help="exact 2-optimal tour count")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("tgraph", parents=[common], help="transition-graph statistics")
-    p.add_argument("--n", type=int)
-    p.add_argument("--equal-weights", action="store_true")
-    p.add_argument("--instance", type=str, default=None)
+    p = sub.add_parser("tgraph", parents=[common, instance], help="transition-graph statistics")
     p.add_argument("--walks", type=int, default=1000)
     p.add_argument("--arcs-csv", type=str, default=None)
     p.set_defaults(func=cmd_tgraph)

@@ -22,7 +22,7 @@ from twooptlab import (
     two_change_delta,
     two_optimal_tours,
 )
-from twooptlab import census
+from twooptlab import census, core
 from twooptlab.census import TransitionGraph
 from twooptlab.core import Instance, all_pairs, pair_count, pair_index
 from twooptlab.reduction import BaseGraph, build_reduction_instance, default_params
@@ -56,6 +56,25 @@ def test_is_two_optimal_agrees_with_direct_scan():
             two_change_delta(inst, tour, move) <= 0 for move in enumerate_two_changes(n)
         )
         assert is_two_optimal(inst, tour) == brute
+
+
+def test_is_two_optimal_answers_for_the_cycle_in_either_direction():
+    # The reflected moves subtract the added chords in the other order, and on
+    # these float weights that rounds across zero; the census reads canonical orders.
+    weights = (0.7, 5e-324, 0.0, 1.0, 2.2, 5e-324, 0.1, 0.0, 0.6, 2.2, 2.2, 1e-17, 0.3, 1.1, 1.0)
+    inst = Instance(n=6, weights=weights, mode="float")
+    listed = list(two_optimal_tours(inst))
+    assert count_two_optimal_exact(inst) == 2 and Tour((0, 3, 5, 2, 1, 4)) in listed
+    for tour in enumerate_canonical_tours(6):
+        o = tour.order
+        for written in (o, (0,) + o[:0:-1], o[2:] + o[:2]):
+            assert is_two_optimal(inst, Tour(written)) == (tour in listed)
+
+
+@pytest.mark.parametrize("size", [4, 6])
+def test_is_two_optimal_refuses_a_tour_of_another_size(size):
+    with pytest.raises(ValueError, match=f"tour has {size} vertices, instance has 5"):
+        is_two_optimal(random_instance(5, seed=0), Tour(tuple(range(size))))
 
 
 @pytest.mark.parametrize("n,count", [(4, 3), (5, 12)])
@@ -239,8 +258,12 @@ def test_census_cap_refusal():
 
 def test_graph_equal_weights_has_no_arcs():
     graph = build_transition_graph(constant_instance(5))
-    assert len(graph.nodes) == 12
+    assert len(graph.orders) == 12
     assert graph.arcs.shape == (0, 2)
+
+
+def _node(graph, k):
+    return Tour(tuple(graph.orders[k].tolist()))
 
 
 def _reference_arcs(inst):
@@ -266,7 +289,7 @@ def test_graph_arcs_equal_the_scalar_move_scan(n, weights):
         inst = _near_limit_instance(n, 2 ** int(weights[2:]))
     graph = build_transition_graph(inst)
     assert list(map(tuple, graph.arcs.tolist())) == _reference_arcs(inst)
-    assert [graph.nodes[k] for k in graph.sinks()] == list(two_optimal_tours(inst))
+    assert [_node(graph, k) for k in graph.sinks()] == list(two_optimal_tours(inst))
 
 
 def test_graph_arcs_strictly_decrease_length():
@@ -275,7 +298,25 @@ def test_graph_arcs_strictly_decrease_length():
         inst = random_instance(6, seed=seed)
         graph = build_transition_graph(inst)
         for u, v in graph.arcs:
-            assert tour_length(inst, graph.nodes[v]) < tour_length(inst, graph.nodes[u])
+            assert tour_length(inst, _node(graph, v)) < tour_length(inst, _node(graph, u))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_graph_orders_are_the_canonical_tours(n):
+    graph = build_transition_graph(random_instance(n, seed=n))
+    assert graph.orders.tolist() == [list(t.order) for t in enumerate_canonical_tours(n, cap=9)]
+
+
+def test_graph_nodes_come_from_the_census_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the itertools enumerator is the oracle only")
+
+    monkeypatch.setattr(core, "enumerate_canonical_tours", refuse)
+    monkeypatch.setattr(census, "enumerate_canonical_tours", refuse, raising=False)
+    inst = random_instance(6, seed=1)
+    graph = build_transition_graph(inst)
+    assert len(graph.orders) == 60
+    assert transition_stats(graph, walks=10).sinks == count_two_optimal_exact(inst)
 
 
 def test_graph_cap_refusal():
@@ -292,8 +333,8 @@ def test_stats_on_arcless_graph():
 
 
 def test_stats_on_hand_built_chain():
-    nodes = tuple(enumerate_canonical_tours(4))
-    graph = TransitionGraph(n=4, nodes=nodes, arcs=np.array([[0, 1], [1, 2]]))
+    orders = np.array([t.order for t in enumerate_canonical_tours(4)])
+    graph = TransitionGraph(n=4, orders=orders, arcs=np.array([[0, 1], [1, 2]]))
     stats = transition_stats(graph, walks=200, seed=1)
     assert stats.sinks == 1
     assert stats.longest_path == 2
@@ -303,13 +344,13 @@ def test_stats_on_hand_built_chain():
 def test_stats_longest_path_ignores_tied_lengths():
     # Equal computed lengths along improving arcs (float rounding can do this)
     # must not shorten the longest path.
-    nodes = tuple(enumerate_canonical_tours(4))
-    graph = TransitionGraph(n=4, nodes=nodes, arcs=np.array([[0, 1], [1, 2]]))
+    orders = np.array([t.order for t in enumerate_canonical_tours(4)])
+    graph = TransitionGraph(n=4, orders=orders, arcs=np.array([[0, 1], [1, 2]]))
     assert transition_stats(graph, walks=10, seed=1).longest_path == 2
 
 
 def _longest_path_dp(graph):
-    successors = [[] for _ in graph.nodes]
+    successors = [[] for _ in graph.orders]
     for u, v in graph.arcs.tolist():
         successors[u].append(v)
     longest = {}
@@ -319,7 +360,7 @@ def _longest_path_dp(graph):
             longest[u] = max((1 + walk(v) for v in successors[u]), default=0)
         return longest[u]
 
-    return max(walk(u) for u in range(len(graph.nodes)))
+    return max(walk(u) for u in range(len(graph.orders)))
 
 
 def test_stats_longest_path_equals_a_python_dp():
@@ -352,8 +393,8 @@ def test_sink_set_equals_two_optimal_set():
         inst = random_instance(6, seed=100 + seed)
         graph = build_transition_graph(inst)
         sinks = set(graph.sinks())
-        for k, tour in enumerate(graph.nodes):
-            assert (k in sinks) == is_two_optimal(inst, tour)
+        for k in range(len(graph.orders)):
+            assert (k in sinks) == is_two_optimal(inst, _node(graph, k))
 
 
 def test_stats_json_shape():

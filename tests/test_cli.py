@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -14,6 +15,14 @@ import pytest
 
 from twooptlab import bounds, cli, interaction_slope
 from twooptlab.cli import build_parser, main
+
+# Child processes import the package from src, as pytest does, installed or not.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(args, capsys):
@@ -282,6 +291,7 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
         proc = subprocess.run(
             [sys.executable, "-m", "twooptlab.cli", *argv, "--out", str(tmp_path / name)],
             capture_output=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert (tmp_path / f"in-{name}").read_bytes() == (tmp_path / name).read_bytes()
@@ -485,6 +495,7 @@ def test_unknown_command_exits_nonzero():
         [sys.executable, "-m", "twooptlab.cli", "no-such-command"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode != 0
     assert "usage" in (proc.stderr + proc.stdout).lower()
@@ -495,6 +506,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "twooptlab.cli", "census", "--n", "4", "--equal-weights"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
