@@ -225,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``twooptlab`` parser, built once per process; parsing never changes it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=int, default=1,
+                        help="Monte Carlo substreams the sample budget is split over; results"
+                             " depend only on --seed and --workers, and the shares run on up to"
+                             " one thread per usable CPU")
     common.add_argument("--out", type=str, default=None)
     sampled = argparse.ArgumentParser(add_help=False)
     sampled.add_argument("--samples", type=int, default=None,

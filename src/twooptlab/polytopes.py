@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import move_quadruples, pair_count, pair_index
-from .rng import mc_batches, split_budget, substream
+from .rng import run_batches, split_budget, substream
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +81,7 @@ def hit_rate(
     """Fraction of points x with i.i.d. coordinates satisfying ``rows @ x <= rhs``.
 
     Coordinates come from the ``Generator`` method named ``draw``, in the
-    batches of ``rng.mc_batches(seed, tag, ...)``.  The rows are tested in
+    batches of ``rng.run_batches(seed, tag, ...)``.  The rows are tested in
     blocks of doubling width (4, 8, 16, ...), each against only the points
     that passed every earlier block.  Each batch draws, in block order, one
     (survivors, new columns) array per block that reads new columns, those
@@ -105,8 +105,8 @@ def hit_rate(
         read[first_read] = True
         order.extend(first_read)
         blocks.append((rows[first:stop, order], rhs[first:stop, None], len(order)))
-    hits = 0
-    for stream, m in mc_batches(seed, tag, samples, workers, rows.shape[1]):
+
+    def batch(stream, m: int) -> int:
         x = np.empty((m, 0))
         for a, b, width in blocks:
             if width > x.shape[1]:
@@ -116,8 +116,9 @@ def hit_rate(
             x = x[np.all(a @ x.T <= b, axis=0)]
             if not len(x):
                 break  # no survivors: the later blocks would draw (0, k) arrays
-        hits += len(x)
-    est = hits / samples
+        return len(x)
+
+    est = sum(run_batches(seed, tag, samples, workers, rows.shape[1], batch)) / samples
     return MCEstimate(est, math.sqrt(est * (1.0 - est) / samples), samples)
 
 

@@ -2,25 +2,45 @@
 
 Every stochastic routine draws from a substream keyed by (seed, purpose tag,
 extra indices).  Splitting a sample budget over workers uses per-worker
-substreams, so the pooled result depends only on (seed, worker count), never
-on scheduling.  Worker w's stream does not depend on the worker count, and
+substreams.  Worker w's stream does not depend on the worker count, and
 workers with nothing to draw get no stream at all.
 
 Batch sizes are decided here, not by the samplers: a sampler states its row
 width (coordinates per draw) and draws ``batch_rows(width)`` rows at a time,
 at most ``MC_BATCH_ROWS`` rows and ``MC_BATCH_COORDINATES`` coordinates.
+
+From ``POOL_MIN_SAMPLES`` samples up, ``run_batches`` runs the workers'
+shares on threads, one share at a time per thread, with OpenBLAS held to one
+thread meanwhile.  It returns the batch
+results in worker-then-batch order, and the callers fold them in that order,
+so every result depends only on the seed and the worker count, never on the
+thread count or on scheduling.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
+import os
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
+T = TypeVar("T")
 
 MC_BATCH_ROWS = 100_000  # draws per numpy batch at most
 # Coordinates per batch at most: 200,000 draws of the n = 12 polytope's 66
 # coordinates (~106 MB of float64), so wider draws come in fewer rows.
 MC_BATCH_COORDINATES = 13_200_000
+# Smallest sample budget run on more than one thread.  Below it, handing the
+# shares to pool threads costs about what the second core saves: on a 2-CPU
+# machine, pooled calls took up to 1.13x the serial time at 6,000 samples
+# and up to 1.07x at 10,000, but 0.66-0.90x at 15,000 (rejection volume at
+# n = 5-12, orthant Monte Carlo at d = 6 and 12, interaction factor at
+# n = 17, 65 and 257).
+POOL_MIN_SAMPLES = 15_000
 
 
 def _entropy_words(key) -> list[int]:
@@ -69,11 +89,95 @@ def worker_shares(
         yield substream(seed, tag, w), base + (1 if w < extra else 0)
 
 
-def mc_batches(
-    seed: int, tag: str, total: int, workers: int, width: int
-) -> Iterator[tuple[np.random.Generator, int]]:
-    """Yield (stream, m): each worker's share, cut into batches of ``batch_rows(width)`` rows."""
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
+
+    Resolved on the first pooled call, never at import.  ``ctypes``,
+    ``glob`` and the thread pool are imported on that call too, so a run
+    without pooled Monte Carlo does not load them.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@functools.cache
+def _executor() -> ThreadPoolExecutor:
+    """The pool behind every pooled call: one thread per usable CPU but the caller's.
+
+    Made on the first pooled call and kept: threads made per call cost
+    0.5 ms or more a call, which a small call would notice.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1, thread_name_prefix="twooptlab-mc")
+
+
+os.register_at_fork(after_in_child=_executor.cache_clear)  # a forked child has no pool threads
+
+
+def run_batches(
+    seed: int, tag: str, total: int, workers: int, width: int,
+    batch: Callable[[np.random.Generator, int], T],
+) -> list[T]:
+    """``batch(stream, m)`` over each worker's share, cut into ``batch_rows(width)``-row batches.
+
+    The shares and streams are those of ``worker_shares``.  Results come back
+    in worker-then-batch order.  Each worker's batches run in order on one
+    thread.  min(workers with a share, usable CPUs) threads, the calling
+    thread and the threads of one pool kept for the process, take the
+    workers round-robin and make each stream only when its share starts, so
+    no more streams are alive than threads.  While they run, OpenBLAS is set
+    to one thread for the whole process and set back afterwards.  Budgets
+    under ``POOL_MIN_SAMPLES``, and every call when that control cannot be
+    found, run on the calling thread alone.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     rows = batch_rows(width)
-    for stream, share in worker_shares(seed, tag, total, workers):
-        for done in range(0, share, rows):
-            yield stream, min(rows, share - done)
+    base, extra = divmod(total, workers)
+    count = min(workers, total)  # workers with a share
+
+    def share(w: int) -> list[T]:
+        stream = substream(seed, tag, w)
+        size = base + (1 if w < extra else 0)
+        return [batch(stream, min(rows, size - done)) for done in range(0, size, rows)]
+
+    threads = min(count, len(os.sched_getaffinity(0))) if total >= POOL_MIN_SAMPLES else 1
+    blas = _openblas_threads() if threads > 1 else None
+    if blas is None:
+        return [result for w in range(count) for result in share(w)]
+    shares: list[list[T]] = [[] for _ in range(count)]
+
+    def lane(first: int) -> None:
+        for w in range(first, count, threads):
+            shares[w] = share(w)
+
+    get, set_ = blas
+    old = get()
+    set_(1)
+    try:
+        others = [_executor().submit(lane, first) for first in range(1, threads)]
+        try:
+            lane(0)
+        finally:
+            for other in others:  # no lane outlives the call, even when one raises
+                other.exception()
+        for other in others:
+            other.result()
+    finally:
+        set_(old)
+    return [result for results in shares for result in results]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from twooptlab import bounds
 from twooptlab.bounds import interaction_matrix, interaction_values
 from twooptlab.chords import ChordDisjointSet
 from twooptlab.polytopes import MCEstimate
-from twooptlab.rng import MC_BATCH_COORDINATES, substream
+from twooptlab.rng import MC_BATCH_COORDINATES, POOL_MIN_SAMPLES, split_budget, substream
 
 SINGLE_PAIR = ChordDisjointSet(
     n=5,
@@ -173,7 +174,40 @@ def test_figure_sweep_rows():
 def test_interaction_batches_are_bounded_by_coordinates(draw_shapes):
     # n = 257 has 255 active edges: 100,000-row batches would draw 25.5M
     # coordinates, so the rows shrink to fit 13.2M.
-    shapes = draw_shapes(bounds, "mc_batches")
+    shapes = draw_shapes(bounds, "run_batches")
     estimate_interaction_factor(build_chord_disjoint_set(257), 60_000, seed=0)
     assert shapes == [(51_764, 255), (8_236, 255)]
     assert all(m * width <= MC_BATCH_COORDINATES for m, width in shapes)
+
+
+@pytest.mark.parametrize("n, workers", [(17, 1), (65, 2), (257, 3)])
+def test_interaction_equals_one_full_product_per_batch(n, workers):
+    # The kernel reduces x @ a in row chunks; the sums must be those of one
+    # product over each worker's whole (share, d) draw, bit for bit.
+    s = build_chord_disjoint_set(n)
+    a, _ = interaction_matrix(s)
+    samples = POOL_MIN_SAMPLES + 1
+    total = total_sq = 0.0
+    for w, share in enumerate(split_budget(samples, workers)):
+        x = np.abs(substream(4, f"interaction-factor:{n}", w).standard_normal((share, a.shape[0])))
+        vals = interaction_values(a, x)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    mean = total / samples
+    est = estimate_interaction_factor(s, samples, 4, workers=workers)
+    assert est.estimate == mean
+    assert est.stderr == math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+
+
+def test_interaction_peak_memory_is_the_draws_plus_one_chunk():
+    # Two workers' 50,000 x 63 half-normal draws, plus a row chunk of the
+    # product and the per-sample values for each.  A full (m, d) product per
+    # batch, with a separate abs() copy of the draw, peaks at ~73 MB.
+    s = build_chord_disjoint_set(65)
+    tracemalloc.start()
+    try:
+        estimate_interaction_factor(s, 100_000, 5, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 50_000 * 63 * 8 + 4_000_000

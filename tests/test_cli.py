@@ -511,3 +511,40 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
     assert "wall_time_s=" in proc.stderr
+
+
+POOLED_ARGVS = {
+    "estimate-g": ["estimate-g", "--n", "65", "--samples", "20000"],
+    "bounds": ["bounds", "--n", "33", "--samples", "20000"],
+    "rejection": ["estimate-vol", "--n", "9", "--method", "rejection", "--samples", "30000"],
+    "figure": ["figure", "--n-min", "5", "--n-max", "9", "--samples", "20000"],
+    "orthant": ["orthant", "--d", "6", "--samples", "20000", "--moment-samples", "2000"],
+    "slope": ["slope", "--ns", "17", "33", "--samples", "20000"],
+}
+
+
+@pytest.mark.parametrize("argv", POOLED_ARGVS.values(), ids=POOLED_ARGVS.keys())
+def test_pooled_artifacts_equal_serial_artifacts(argv, tmp_path, capsys, on_one_cpu, stream_threads):
+    def artifact_sha256(name):
+        path = tmp_path / name
+        assert run_cli([*argv, "--seed", "5", "--workers", "2", "--out", str(path)], capsys)[0] == 0
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    pooled = artifact_sha256("pooled")
+    assert len(stream_threads) == min(2, len(os.sched_getaffinity(0)))
+    assert pooled == on_one_cpu(lambda: artifact_sha256("serial"))
+
+
+def test_importing_the_cli_leaves_the_pool_and_blas_control_unmade():
+    # Both are made on the first pooled call, so a run without Monte Carlo
+    # pays neither.
+    script = (
+        "import twooptlab.cli\n"
+        "from twooptlab import rng\n"
+        "print(rng._openblas_threads.cache_info().currsize, rng._executor.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]

@@ -107,7 +107,7 @@ def test_orthant_mc_batches_are_bounded_by_coordinates(draw_shapes):
     # hold 51,562 points.  Each draws the 4 columns of the first row block,
     # then each later block's new columns for its survivors only; once none
     # survive, the batch stops drawing.
-    shapes = draw_shapes(polytopes, "mc_batches")
+    shapes = draw_shapes(polytopes, "run_batches")
     orthant_prob_mc(identity_spec(256), 60_000, seed=0)
     assert shapes == [(51_562, 4), (3_309, 8), (14, 16), (8_438, 4), (529, 8), (1, 16)]
     assert all(m * width <= MC_BATCH_COORDINATES for m, width in shapes)
@@ -116,7 +116,7 @@ def test_orthant_mc_batches_are_bounded_by_coordinates(draw_shapes):
 def test_orthant_mc_draws_few_coordinates_per_sample(draw_shapes):
     # Half the points fail each identity row, so a sample costs ~4.5 normals
     # (the first block's 4, then a sixteenth of the points draw 8 more), not 64.
-    shapes = draw_shapes(polytopes, "mc_batches")
+    shapes = draw_shapes(polytopes, "run_batches")
     samples = 200_000
     orthant_prob_mc(identity_spec(64), samples, seed=0)
     assert shapes and sum(m * width for m, width in shapes) <= 6 * samples

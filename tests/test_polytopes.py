@@ -22,7 +22,7 @@ from twooptlab import (
 from twooptlab.orthants import _gibbs_orthant_draws
 from twooptlab import polytopes
 from twooptlab.polytopes import Polytope, _hit_and_run_chains
-from twooptlab.rng import MC_BATCH_COORDINATES, mc_batches, substream
+from twooptlab.rng import MC_BATCH_COORDINATES, run_batches, substream
 
 
 def simplex(dim: int) -> Polytope:
@@ -87,17 +87,19 @@ def test_rejection_deterministic_given_seed_and_workers():
 def lazy_draws_completed(a, b, draw, samples, seed, tag, workers):
     """Replay ``hit_rate``'s documented draws as full (m, dim) points.
 
-    Per batch and in block order, each block's columns not drawn yet are
-    drawn, in increasing order and by the ``Generator`` method ``draw``, for
-    the points that passed every earlier block.  The columns a rejected point
-    never got (and the columns no row reads) are then filled from a separate
-    substream, so every point is a complete i.i.d. point.
+    Per batch of ``rng.run_batches`` and in block order, each block's columns
+    not drawn yet are drawn, in increasing order and by the ``Generator``
+    method ``draw``, for the points that passed every earlier block.  The
+    columns a rejected point never got (and the columns no row reads) are
+    then filled from a separate substream, batch by batch in result order,
+    so every point is a complete i.i.d. point.
     """
     dim = a.shape[1]
     edges = [0]
     while edges[-1] < len(b):
         edges.append(min(len(b), 2 * edges[-1] + 4))
-    for batch, (stream, m) in enumerate(mc_batches(seed, tag, samples, workers, dim)):
+
+    def replay(stream, m):
         u = np.full((m, dim), np.nan)
         drawn = np.zeros(dim, dtype=bool)
         alive = np.ones(m, dtype=bool)
@@ -109,6 +111,9 @@ def lazy_draws_completed(a, b, draw, samples, seed, tag, workers):
                 drawn[new] = True
             block = u[alive][:, cols] @ a[first:stop, cols].T <= b[first:stop]
             alive[alive] = np.all(block, axis=1)
+        return u
+
+    for batch, u in enumerate(run_batches(seed, tag, samples, workers, dim, replay)):
         missing = np.isnan(u)
         completion = substream(seed, "lazy-draws-completion", batch)
         u[missing] = getattr(completion, draw)(missing.sum())
@@ -158,7 +163,7 @@ def test_rejection_batches_are_bounded_by_coordinates(draw_shapes):
     # width), so n = 40 (780 coordinates per point) never draws a 78M-float
     # batch.  Batches of 100,000 points draw the 13 columns of the first
     # block, then each later block's new columns for its survivors only.
-    shapes = draw_shapes(polytopes, "mc_batches")
+    shapes = draw_shapes(polytopes, "run_batches")
     estimate_volume_rejection(build_two_opt_polytope(40), 100_000, seed=0)
     assert max(m * dim for m, dim in shapes) <= 200_000 * 66 == MC_BATCH_COORDINATES
     pins = {
@@ -188,14 +193,14 @@ def test_rejection_batches_are_bounded_by_coordinates(draw_shapes):
 def test_rejection_draws_few_coordinates_per_sample(draw_shapes):
     # The first block of 4 rows reads 13 of n = 12's 66 columns and rejects
     # about 87% of the points, so a sample costs ~15.5 uniforms, not 66.
-    shapes = draw_shapes(polytopes, "mc_batches")
+    shapes = draw_shapes(polytopes, "run_batches")
     samples = 400_000
     estimate_volume_rejection(build_two_opt_polytope(12), samples, seed=0)
     assert sum(m * width for m, width in shapes) <= 20 * samples
 
 
 def test_rejection_never_draws_an_unread_column(draw_shapes):
-    shapes = draw_shapes(polytopes, "mc_batches")
+    shapes = draw_shapes(polytopes, "run_batches")
     half = Polytope(np.array([[1.0, -1.0, 0.0]]), np.zeros(1))
     est = estimate_volume_rejection(half, 200_000, seed=1)
     assert shapes and all(width == 2 for _, width in shapes)
