@@ -195,7 +195,7 @@ def cmd_slope(args):
 def cmd_orthant(args):
     spec = equicorrelated_spec(args.d) if args.equicorrelated else identity_spec(args.d)
     mc = orthant_prob_mc(spec, _samples(args, 200_000), args.seed, workers=args.workers)
-    moments = truncated_moments_mc(spec, args.moment_samples, args.seed, workers=args.workers)
+    moments = truncated_moments_mc(spec, args.moment_samples, args.seed)
     bound = orthant_moment_bound(spec, moments.diagonal())
     payload = {
         "d": args.d,
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=1,
                         help="Monte Carlo substreams the sample budget is split over; results"
                              " depend only on --seed and --workers, and the shares run on up to"
-                             " one thread per usable CPU")
+                             " one thread per usable CPU; orthant's truncated moments read one"
+                             " stream whatever --workers is")
     common.add_argument("--out", type=str, default=None)
     sampled = argparse.ArgumentParser(add_help=False)
     sampled.add_argument("--samples", type=int, default=None,

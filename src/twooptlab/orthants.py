@@ -18,9 +18,10 @@ proposal is i.i.d. half-normals with precision lam I, lam the smallest
 eigenvalue of the precision P, accepted with probability
 exp(-x'(P - lam I)x / 2).  Beyond dimension 8, or when that acceptance
 collapses, one coordinate-update Gibbs chain per call takes over and makes
-every draw.  Rejection draws in the batches of ``rng.batch_rows`` and states
-only its row width, d.  The orthant probability itself is one call to
-``polytopes.hit_rate``, the hit-or-miss screen behind the polytope volume.
+every draw.  Each call draws from one stream, whatever the worker count.
+Rejection draws in batches of at most ``rng.batch_rows(d)`` rows.  The
+orthant probability itself is one call to ``polytopes.hit_rate``, the
+hit-or-miss screen behind the polytope volume.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import NotPositiveDefiniteError
 from .polytopes import MCEstimate, hit_rate
-from .rng import batch_rows, substream, worker_shares
+from .rng import batch_rows, one_blas_thread, substream
 
 REJECTION_DIM_CAP = 8
 MIN_ACCEPT_RATE = 1e-4
@@ -224,13 +225,11 @@ def truncated_moments_mc(
 
     ``sampler`` is "rejection" or "gibbs"; None picks rejection up to
     dimension 8 and Gibbs beyond, and any other name raises ValueError.
-    Rejection sampling runs one share per worker.  Under Gibbs (or when the
-    observed acceptance rate drops below 1e-4) one coordinate-update chain
-    makes all ``accepted_samples`` draws, on worker 0's stream or on the
-    collapsing worker's stream where its proposals stopped, and the switch
-    is recorded on the result; earlier workers' draws are dropped.
-    ``acceptance_rate`` pools the accepted and attempted proposals of every
-    worker that ran rejection.
+    Every draw comes from ``substream(seed, "truncated-moments", 0)``;
+    ``workers`` is kept in the signature and not read.  ``acceptance_rate``
+    is the rejection sampler's accepted over attempted proposals.  One
+    coordinate-update chain makes every Gibbs draw, also when an acceptance
+    rate below 1e-4 switches the call to Gibbs (recorded on the result).
     The moments are reduced one matrix row at a time, so no (samples, d, d)
     array is built.
     """
@@ -240,22 +239,17 @@ def truncated_moments_mc(
         sampler = "rejection" if spec.d <= REJECTION_DIM_CAP else "gibbs"
     elif sampler not in ("rejection", "gibbs"):
         raise ValueError(f"sampler must be 'rejection' or 'gibbs', got {sampler!r}")
-    chunks = []
-    accepted = attempted = 0
+    # The trailing 0 (worker 0's key) keeps one-worker and Gibbs-from-the-start
+    # calls byte-identical to the moments they have always drawn.
     stream = substream(seed, "truncated-moments", 0)
+    z, accepted, attempted = None, 0, 0
     if sampler == "rejection":
-        for stream, budget in worker_shares(seed, "truncated-moments", accepted_samples, workers):
-            draws, got, tried = _rejection_orthant_draws(spec, budget, stream)
-            accepted += got
-            attempted += tried
-            if draws is None:
-                sampler = "gibbs"  # acceptance collapsed; switch and record
-                break
-            chunks.append(draws)
-    if sampler != "rejection":
-        # One chain makes every draw, so burn-in is paid once per call.
-        chunks = [_gibbs_orthant_draws(spec, accepted_samples, stream)]
-    z = np.vstack(chunks)
+        with one_blas_thread():
+            z, accepted, attempted = _rejection_orthant_draws(spec, accepted_samples, stream)
+        if z is None:
+            sampler = "gibbs"  # acceptance collapsed; switch and record
+    if z is None:
+        z = _gibbs_orthant_draws(spec, accepted_samples, stream)
     matrix = np.empty((spec.d, spec.d))
     spread = np.empty((spec.d, spec.d))
     for i in range(spec.d):

@@ -1,9 +1,10 @@
 """Deterministic random-stream derivation and the one Monte Carlo batch loop.
 
 Every stochastic routine draws from a substream keyed by (seed, purpose tag,
-extra indices).  Splitting a sample budget over workers uses per-worker
-substreams.  Worker w's stream does not depend on the worker count, and
-workers with nothing to draw get no stream at all.
+extra indices).  ``split_budget`` is the one share rule and ``run_batches``
+the one per-worker loop: worker w draws its share from ``substream(seed, tag,
+w)``, which does not depend on the worker count, and workers with nothing to
+draw get no stream at all.
 
 Batch sizes are decided here, not by the samplers: a sampler states its row
 width (coordinates per draw) and draws ``batch_rows(width)`` rows at a time,
@@ -11,14 +12,14 @@ at most ``MC_BATCH_ROWS`` rows and ``MC_BATCH_COORDINATES`` coordinates.
 
 From ``POOL_MIN_SAMPLES`` samples up, ``run_batches`` runs the workers'
 shares on threads, one share at a time per thread, with OpenBLAS held to one
-thread meanwhile.  It returns the batch
-results in worker-then-batch order, and the callers fold them in that order,
-so every result depends only on the seed and the worker count, never on the
-thread count or on scheduling.
+thread meanwhile.  It returns the batch results in worker-then-batch order,
+and the callers fold them in that order, so every result depends only on the
+seed and the worker count, never on the thread count or on scheduling.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
@@ -62,11 +63,11 @@ def substream(seed: int, *keys) -> np.random.Generator:
 
 
 def split_budget(total: int, workers: int) -> list[int]:
-    """Near-equal per-worker sample counts summing to ``total``."""
+    """Non-increasing non-zero shares of ``total``, at most 1 apart, for min(workers, total) workers."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     base, extra = divmod(total, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+    return [base + (1 if w < extra else 0) for w in range(min(workers, total))]
 
 
 def batch_rows(width: int) -> int:
@@ -74,28 +75,12 @@ def batch_rows(width: int) -> int:
     return max(1, min(MC_BATCH_ROWS, MC_BATCH_COORDINATES // width))
 
 
-def worker_shares(
-    seed: int, tag: str, total: int, workers: int
-) -> Iterator[tuple[np.random.Generator, int]]:
-    """Yield (substream(seed, tag, w), share) for each worker w with a non-zero share.
-
-    The shares are those of ``split_budget``; only the first min(workers,
-    total) workers have one, so no stream is made for the rest.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    base, extra = divmod(total, workers)
-    for w in range(min(workers, total)):
-        yield substream(seed, tag, w), base + (1 if w < extra else 0)
-
-
 @functools.cache
 def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
 
-    Resolved on the first pooled call, never at import.  ``ctypes``,
-    ``glob`` and the thread pool are imported on that call too, so a run
-    without pooled Monte Carlo does not load them.
+    Resolved on first use, never at import, so a run that never pins BLAS
+    does not import ``ctypes`` and ``glob``.
     """
     import ctypes
     import glob
@@ -114,6 +99,34 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
     return None
 
 
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold numpy's OpenBLAS to one thread, process-wide, for the block; a
+    no-op where that control is not found.  The few-column batch products run
+    under it keep their bytes, and a second BLAS thread only spins on a core
+    (rejection moments, d = 6, 20,000 samples: 42 ms CPU a call at two BLAS
+    threads, 19 ms at one, on a 2-CPU machine)."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (Linux), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @functools.cache
 def _executor() -> ThreadPoolExecutor:
     """The pool behind every pooled call: one thread per usable CPU but the caller's.
@@ -123,7 +136,7 @@ def _executor() -> ThreadPoolExecutor:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(len(os.sched_getaffinity(0)) - 1, thread_name_prefix="twooptlab-mc")
+    return ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="twooptlab-mc")
 
 
 os.register_at_fork(after_in_child=_executor.cache_clear)  # a forked child has no pool threads
@@ -135,30 +148,26 @@ def run_batches(
 ) -> list[T]:
     """``batch(stream, m)`` over each worker's share, cut into ``batch_rows(width)``-row batches.
 
-    The shares and streams are those of ``worker_shares``.  Results come back
-    in worker-then-batch order.  Each worker's batches run in order on one
-    thread.  min(workers with a share, usable CPUs) threads, the calling
-    thread and the threads of one pool kept for the process, take the
-    workers round-robin and make each stream only when its share starts, so
-    no more streams are alive than threads.  While they run, OpenBLAS is set
-    to one thread for the whole process and set back afterwards.  Budgets
-    under ``POOL_MIN_SAMPLES``, and every call when that control cannot be
-    found, run on the calling thread alone.
+    Worker w draws its share, ``split_budget(total, workers)[w]``, from
+    ``substream(seed, tag, w)``.  Results come back in worker-then-batch
+    order.  Each worker's batches run in order on one thread.  min(workers
+    with a share, usable CPUs) threads, the calling thread and the threads
+    of one pool kept for the process, take the workers round-robin and make
+    each stream only when its share starts, so no more streams are alive
+    than threads.  They run under ``one_blas_thread``.  Budgets under
+    ``POOL_MIN_SAMPLES``, and every call when the OpenBLAS thread control
+    cannot be found, run on the calling thread alone.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    sizes = split_budget(total, workers)
+    count = len(sizes)  # workers with a share
     rows = batch_rows(width)
-    base, extra = divmod(total, workers)
-    count = min(workers, total)  # workers with a share
 
     def share(w: int) -> list[T]:
         stream = substream(seed, tag, w)
-        size = base + (1 if w < extra else 0)
-        return [batch(stream, min(rows, size - done)) for done in range(0, size, rows)]
+        return [batch(stream, min(rows, sizes[w] - done)) for done in range(0, sizes[w], rows)]
 
-    threads = min(count, len(os.sched_getaffinity(0))) if total >= POOL_MIN_SAMPLES else 1
-    blas = _openblas_threads() if threads > 1 else None
-    if blas is None:
+    threads = min(count, _usable_cpus()) if total >= POOL_MIN_SAMPLES else 1
+    if threads == 1 or _openblas_threads() is None:
         return [result for w in range(count) for result in share(w)]
     shares: list[list[T]] = [[] for _ in range(count)]
 
@@ -166,10 +175,7 @@ def run_batches(
         for w in range(first, count, threads):
             shares[w] = share(w)
 
-    get, set_ = blas
-    old = get()
-    set_(1)
-    try:
+    with one_blas_thread():
         others = [_executor().submit(lane, first) for first in range(1, threads)]
         try:
             lane(0)
@@ -178,6 +184,4 @@ def run_batches(
                 other.exception()
         for other in others:
             other.result()
-    finally:
-        set_(old)
     return [result for results in shares for result in results]

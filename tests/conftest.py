@@ -1,4 +1,3 @@
-import inspect
 import os
 import threading
 
@@ -27,35 +26,29 @@ class RecordingStream:
 
 @pytest.fixture
 def draw_shapes(monkeypatch):
-    """``draw_shapes(module, name)`` wraps the worker loop ``module.name`` so that
-    the 2-d draw shapes of its streams land in the returned list.
+    """``draw_shapes(module, name)`` wraps ``rng.run_batches``, bound as
+    ``module.name``, so that the 2-d draw shapes of its streams land in the
+    returned list.
 
-    The loop is either a generator of (stream, m) pairs, such as
-    ``rng.worker_shares``, or ``rng.run_batches``.  For ``run_batches`` each
-    batch records its own draws, and the records are appended in the order of
-    its results, worker then batch, whichever threads ran the batches.
+    Each batch records its own draws, and the records are appended in the
+    order of its results, worker then batch, whichever threads ran the batches.
     """
     shapes = []
 
     def record(module, name):
         loop = getattr(module, name)
 
-        if inspect.isgeneratorfunction(loop):
-            def recording(*args):
-                for stream, m in loop(*args):
-                    yield RecordingStream(stream, shapes), m
-        else:
-            def recording(*args):
-                *head, batch = args
+        def recording(*args):
+            *head, batch = args
 
-                def recorded(stream, m):
-                    drawn = []
-                    return batch(RecordingStream(stream, drawn), m), drawn
+            def recorded(stream, m):
+                drawn = []
+                return batch(RecordingStream(stream, drawn), m), drawn
 
-                results = loop(*head, recorded)
-                for _, drawn in results:
-                    shapes.extend(drawn)
-                return [result for result, _ in results]
+            results = loop(*head, recorded)
+            for _, drawn in results:
+                shapes.extend(drawn)
+            return [result for result, _ in results]
 
         monkeypatch.setattr(module, name, recording)
         return shapes
@@ -66,11 +59,12 @@ def draw_shapes(monkeypatch):
 @pytest.fixture
 def on_one_cpu(monkeypatch):
     """``on_one_cpu(call)`` returns ``call()`` run as if one CPU were usable, so
-    that ``rng.run_batches`` runs every share on the calling thread."""
+    that ``rng.run_batches`` runs every share on the calling thread.  Where the
+    platform has no ``os.sched_getaffinity`` it is added for the call."""
 
     def run(call):
         with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             return call()
 
     return run

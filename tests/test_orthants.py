@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import RecordingStream
+
 from twooptlab import (
     CovarianceSpec,
     NotPositiveDefiniteError,
@@ -16,7 +18,7 @@ from twooptlab import (
     second_moment_formula,
     truncated_moments_mc,
 )
-from twooptlab import orthants, polytopes
+from twooptlab import orthants, polytopes, rng
 from twooptlab.orthants import (
     MIN_ACCEPT_RATE,
     _gibbs_orthant_draws,
@@ -25,7 +27,7 @@ from twooptlab.orthants import (
     equicorrelated_closed_forms,
     equicorrelated_g_sum,
 )
-from twooptlab.rng import MC_BATCH_COORDINATES, MC_BATCH_ROWS, split_budget, substream
+from twooptlab.rng import MC_BATCH_COORDINATES, MC_BATCH_ROWS, substream
 
 
 # A precision with no symmetry between coordinates and negative off-diagonals.
@@ -131,26 +133,50 @@ def test_orthant_mc_streams_up_to_d4_are_unchanged():
     assert orthant_prob_mc(equicorrelated_spec(4), 200_000, seed=5, workers=3).estimate == 0.039505
 
 
-def test_rejection_moment_batches_are_capped_from_the_first(draw_shapes):
-    # A worker's budget above MC_BATCH_ROWS is no longer proposed in one batch.
-    shapes = draw_shapes(orthants, "worker_shares")
+def test_rejection_moment_batches_are_capped_from_the_first(monkeypatch):
+    # A budget above MC_BATCH_ROWS is not proposed in one batch.
+    shapes = []
+    make = orthants.substream
+    monkeypatch.setattr(orthants, "substream", lambda *keys: RecordingStream(make(*keys), shapes))
     moments = truncated_moments_mc(identity_spec(2), 150_000, seed=0)
     assert moments.sampler == "rejection" and moments.samples == 150_000
     assert shapes[0] == (MC_BATCH_ROWS, 2)
     assert max(m for m, _ in shapes) <= MC_BATCH_ROWS
 
 
-def test_acceptance_rate_pools_every_rejection_worker():
-    spec = equicorrelated_spec(4)
-    moments = truncated_moments_mc(spec, 3_000, seed=30, workers=3)
-    counts = [
-        _rejection_orthant_draws(spec, share, substream(30, "truncated-moments", w))[1:]
-        for w, share in enumerate(split_budget(3_000, 3))
-    ]
-    accepted, attempted = (sum(column) for column in zip(*counts))
-    assert moments.acceptance_rate == accepted / attempted
-    # Not the last worker's own rate, which the result used to report.
-    assert moments.acceptance_rate != counts[-1][0] / counts[-1][1]
+@pytest.mark.parametrize(
+    "spec, samples, sampler",
+    [(equicorrelated_spec(4), 3_000, "rejection"),
+     (CovarianceSpec.from_precision(np.eye(8) + 10 * np.ones((8, 8))), 200, "gibbs"),
+     (equicorrelated_spec(9), 100, "gibbs")],
+    ids=["rejection", "collapse", "gibbs"],
+)
+def test_moments_draw_one_stream_whatever_the_worker_count(spec, samples, sampler):
+    runs = [truncated_moments_mc(spec, samples, seed=30, workers=w) for w in (1, 3, 50)]
+    assert {(m.matrix.tobytes(), m.sampler, m.acceptance_rate) for m in runs} == {
+        (runs[0].matrix.tobytes(), sampler, runs[0].acceptance_rate)
+    }
+    if sampler == "rejection":
+        _, accepted, attempted = _rejection_orthant_draws(
+            spec, samples, substream(30, "truncated-moments", 0)
+        )
+        assert runs[0].acceptance_rate == accepted / attempted
+
+
+@pytest.mark.skipif(rng._openblas_threads() is None, reason="no OpenBLAS thread control found")
+def test_rejection_moments_run_on_one_blas_thread(monkeypatch):
+    get, _ = rng._openblas_threads()
+    before = get()
+    seen = []
+    draws = orthants._rejection_orthant_draws
+
+    def recording(*args):
+        seen.append(get())
+        return draws(*args)
+
+    monkeypatch.setattr(orthants, "_rejection_orthant_draws", recording)
+    truncated_moments_mc(equicorrelated_spec(6), 20_000, seed=1)
+    assert seen == [1] and get() == before
 
 
 def test_truncated_moments_identity_spec():

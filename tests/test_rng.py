@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twooptlab import rng
 from twooptlab.bounds import estimate_interaction_factor, interaction_slope
@@ -20,10 +22,9 @@ from twooptlab.rng import (
     run_batches,
     split_budget,
     substream,
-    worker_shares,
 )
 
-CPUS = len(os.sched_getaffinity(0))
+CPUS = rng._usable_cpus()
 
 
 def assert_pooled(stream_threads, workers):
@@ -60,24 +61,36 @@ def per_worker_batches(batches):
 def test_each_workers_batches_sum_to_its_share(total, workers, width):
     batches = run_batches(5, "share", total, workers, width, lambda stream, m: (stream, m))
     assert all(1 <= m <= batch_rows(width) for _, m in batches)
-    shares = [share for share in split_budget(total, workers) if share > 0]
-    assert [sum(sizes) for sizes in per_worker_batches(batches)] == shares
-    assert [share for _, share in worker_shares(5, "share", total, workers)] == shares
+    assert [sum(sizes) for sizes in per_worker_batches(batches)] == split_budget(total, workers)
 
 
 def test_workers_without_a_share_yield_nothing():
     assert run_batches(1, "empty", 0, 4, 3, lambda stream, m: m) == []
-    shares = list(worker_shares(1, "few", 3, 8))
-    assert [share for _, share in shares] == [1, 1, 1]
+    assert split_budget(3, 8) == [1, 1, 1]
+    assert run_batches(1, "few", 3, 8, 1, lambda stream, m: m) == [1, 1, 1]
     with pytest.raises(ValueError):
-        list(worker_shares(1, "none", 5, 0))
+        split_budget(5, 0)
     with pytest.raises(ValueError):
         run_batches(1, "none", 5, 0, 1, lambda stream, m: m)
 
 
+@given(st.integers(0, 10**6), st.integers(-2, 10**4))
+def test_split_budget_gives_near_equal_non_zero_shares(total, workers):
+    if workers < 1:
+        with pytest.raises(ValueError):
+            split_budget(total, workers)
+        return
+    shares = split_budget(total, workers)
+    assert len(shares) == min(workers, total)
+    assert sum(shares) == total
+    assert all(a >= b for a, b in zip(shares, shares[1:]))
+    assert not shares or shares[0] - shares[-1] <= 1
+
+
 def test_worker_streams_do_not_depend_on_the_worker_count():
-    few = [stream.random(4) for stream, _ in worker_shares(2, "count", 100, 2)]
-    many = [stream.random(4) for stream, _ in worker_shares(2, "count", 100, 7)]
+    few = run_batches(2, "count", 100, 2, 4, lambda stream, m: stream.random(4))
+    many = run_batches(2, "count", 100, 7, 4, lambda stream, m: stream.random(4))
+    assert len(few) == 2
     for a, b in zip(few, many):
         assert np.array_equal(a, b)
 
@@ -205,6 +218,14 @@ def test_threads_never_outnumber_shares_or_cpus(cpus):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_pooling_needs_no_affinity_call(monkeypatch, on_one_cpu):
+    # Where os.sched_getaffinity is missing (macOS, Windows) the usable CPUs
+    # come from os.cpu_count(), and a pooled budget gives the serial result.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    call = lambda: estimate_volume_rejection(build_two_opt_polytope(6), 20_000, 1, workers=2)  # noqa: E731
+    assert call() == on_one_cpu(call)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
