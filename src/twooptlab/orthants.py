@@ -17,7 +17,7 @@ Conditioned moments are sampled exactly by rejection up to dimension 8: the
 proposal is i.i.d. half-normals with precision lam I, lam the smallest
 eigenvalue of the precision P, accepted with probability
 exp(-x'(P - lam I)x / 2).  Beyond dimension 8, or when that acceptance
-collapses, one coordinate-update Gibbs chain per call takes over and makes
+collapses, isqrt(samples) lock-step coordinate-update Gibbs chains make
 every draw.  Each call draws from one stream, whatever the worker count.
 Rejection draws in batches of at most ``rng.batch_rows(d)`` rows.  The
 orthant probability itself is one call to ``polytopes.hit_rate``, the
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import NotPositiveDefiniteError
 from .polytopes import MCEstimate, hit_rate
@@ -38,7 +38,6 @@ from .rng import batch_rows, one_blas_thread, substream
 
 REJECTION_DIM_CAP = 8
 MIN_ACCEPT_RATE = 1e-4
-GIBBS_TAIL_SWITCH = 5.0  # standardised depth where the chain's quantile moves to log space
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def _rejection_orthant_draws(spec: CovarianceSpec, count: int, rng):
     proposal is accepted.  Returns ``(draws, accepted, attempted)``.  Once
     ``10 * batch_rows(d)`` proposals have accepted fewer than
     ``MIN_ACCEPT_RATE`` of them, ``draws`` is None and the caller switches to
-    the coordinate chain.  That is the weak case of this proposal: a
+    the Gibbs chains.  That is the weak case of this proposal: a
     precision with a tiny eigenvalue (strongly positively correlated
     coordinates) is poorly dominated by the isotropic half-normal.
     """
@@ -178,40 +177,33 @@ def _rejection_orthant_draws(spec: CovarianceSpec, count: int, rng):
 
 def _gibbs_orthant_draws(spec: CovarianceSpec, count: int, rng,
                          burn_in: int = 1000, thin: int = 10):
-    """Coordinate-update chain: each conditional is a positive-truncated normal.
+    """Lock-step coordinate-update chains; each conditional is a positive-truncated normal.
 
-    Each sweep draws its d uniforms at once and maps them to [1 - alpha, 1)
-    as ``Generator.uniform(1 - alpha, 1)`` would; the arithmetic runs on
-    Python floats, so the draws match a per-coordinate ``uniform`` call.
-    Deep in the upper tail (standardised conditional mean below
-    ``-GIBBS_TAIL_SWITCH``, tail mass alpha < 3e-7) 1 - alpha rounds toward
-    1 and that quantile overflows to inf, then NaN; there the same quantile
-    is taken from log(alpha (1 - u)) with ``log_ndtr`` and ``ndtri_exp``.
+    ``math.isqrt(count)`` chains start at the all-ones point and advance as
+    one (chains, d) array, coordinate i on every chain at once; each runs
+    ``burn_in`` sweeps, then keeps its point every ``thin`` sweeps.  Draw k
+    is chain k mod chains at its (k // chains)-th kept sweep.  With t the
+    standardised conditional mean, z = -ndtri_exp(log_ndtr(t) + log(1 - u))
+    keeps full precision where ndtr(t), the mass above 0, is tiny and where
+    it rounds to 1 (t above about 8.3, where 1 - ndtr(t) is 0).
     """
-    prec = spec.precision
-    diag = [float(v) for v in np.diag(prec)]
-    cond_sd = [1.0 / math.sqrt(v) for v in diag]
-    x = np.ones(spec.d)
-    out = np.empty((count, spec.d))
-    collected = 0
-    sweeps = burn_in + count * thin
-    for sweep in range(1, sweeps + 1):
-        for i, u in enumerate(rng.random(spec.d).tolist()):
-            mu = -(float(prec[i] @ x) - diag[i] * float(x[i])) / diag[i]
-            t = mu / cond_sd[i]
-            if t > -GIBBS_TAIL_SWITCH:
-                low = 1.0 - float(ndtr(t))  # 1 - P(conditional > 0)
-                z = float(ndtri(low + (1.0 - low) * u))
-            else:
-                z = -float(ndtri_exp(float(log_ndtr(t)) + math.log1p(-u)))
-            v = mu + cond_sd[i] * z
-            if v <= 0.0:  # guard against rounding at the boundary
-                v = 1e-12
-            x[i] = v
-        if sweep > burn_in and (sweep - burn_in) % thin == 0:
-            out[collected] = x
-            collected += 1
-    return out
+    diag = np.diag(spec.precision)
+    cond_sd = 1.0 / np.sqrt(diag)
+    coupling = -spec.precision / diag[:, None]  # conditional mean of x_i is x @ coupling[i]
+    np.fill_diagonal(coupling, 0.0)
+    chains = math.isqrt(count)
+    kept = -(-count // chains)
+    x = np.ones((chains, spec.d))
+    out = np.empty((kept, chains, spec.d))
+    for sweep in range(burn_in + kept * thin):
+        log_tail = np.log1p(-rng.random((spec.d, chains)))  # log(1 - u), once per sweep
+        for i in range(spec.d):
+            mu = x @ coupling[i]
+            v = mu - cond_sd[i] * ndtri_exp(log_ndtr(mu / cond_sd[i]) + log_tail[i])
+            x[:, i] = np.where(v > 0.0, v, 1e-12)  # guard against rounding at the boundary
+        if sweep >= burn_in and (sweep + 1 - burn_in) % thin == 0:
+            out[(sweep - burn_in) // thin] = x
+    return out.reshape(-1, spec.d)[:count]
 
 
 def truncated_moments_mc(
@@ -227,9 +219,10 @@ def truncated_moments_mc(
     dimension 8 and Gibbs beyond, and any other name raises ValueError.
     Every draw comes from ``substream(seed, "truncated-moments", 0)``;
     ``workers`` is kept in the signature and not read.  ``acceptance_rate``
-    is the rejection sampler's accepted over attempted proposals.  One
-    coordinate-update chain makes every Gibbs draw, also when an acceptance
-    rate below 1e-4 switches the call to Gibbs (recorded on the result).
+    is the rejection sampler's accepted over attempted proposals.
+    isqrt(accepted_samples) lock-step chains make every Gibbs draw, also
+    when an acceptance rate below 1e-4 switches the call to Gibbs (recorded
+    on the result).
     The moments are reduced one matrix row at a time, so no (samples, d, d)
     array is built.
     """

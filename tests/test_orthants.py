@@ -233,6 +233,41 @@ def test_gibbs_and_rejection_cross_validate_at_d5():
     assert np.all(diff <= tol)
 
 
+def test_gibbs_error_bars_are_calibrated():
+    # 40 seeded Gibbs runs against one long rejection reference: the z-scores
+    # of E[Z_0^2] and E[Z_0 Z_1] must look standard normal.  The reference
+    # error is common to every z, so it widens the bound on their mean and
+    # leaves their spread alone.  Each check has false-alarm rate alpha.
+    alpha, runs = 1e-4, 40
+    spec = equicorrelated_spec(6)
+    ref = truncated_moments_mc(spec, 400_000, seed=1000, sampler="rejection")
+    gibbs = [truncated_moments_mc(spec, 2_000, seed=s, sampler="gibbs") for s in range(runs)]
+    for entry in [(0, 0), (0, 1)]:
+        se = np.array([g.stderr[entry] for g in gibbs])
+        z = (np.array([g.matrix[entry] for g in gibbs]) - ref.matrix[entry]) / se
+        shared = ref.stderr[entry] * np.mean(1.0 / se)  # sd of the reference's part of mean(z)
+        mean_bound = stats.norm.isf(alpha / 2) * math.sqrt(1.0 / runs + shared**2)
+        sd_bound = math.sqrt(stats.chi2.isf(alpha, runs - 1) / (runs - 1))
+        assert abs(z.mean()) <= mean_bound
+        assert z.std(ddof=1) <= sd_bound
+
+
+def test_gibbs_conditional_at_a_zero_mean_is_the_half_normal():
+    # One coordinate: every update has t = 0 and is an independent draw.
+    draws = truncated_moments_mc(identity_spec(1), 4_000, seed=3, sampler="gibbs").draws
+    assert stats.kstest(draws[:, 0], stats.halfnorm.cdf).pvalue >= 1e-4
+
+
+def test_gibbs_matches_rejection_with_positive_conditional_means():
+    # A negative precision off-diagonal puts every conditional mean above 0,
+    # far enough (t above 8.3) that ndtr(t) rounds to 1.
+    spec = CovarianceSpec.from_precision([[1.0, -0.97], [-0.97, 1.0]])
+    rej = truncated_moments_mc(spec, 20_000, seed=5, sampler="rejection")
+    gib = truncated_moments_mc(spec, 20_000, seed=6, sampler="gibbs")
+    assert rej.sampler == "rejection" and gib.sampler == "gibbs"
+    assert np.all(np.abs(rej.matrix - gib.matrix) <= 3 * np.hypot(rej.stderr, gib.stderr))
+
+
 @pytest.mark.parametrize("sampler", ["Rejection", "hit-and-run", ""])
 def test_unknown_sampler_is_refused(sampler):
     # A misspelled name must not silently run the Gibbs chain under that name.
@@ -246,7 +281,7 @@ def test_gibbs_draws_are_pinned():
     assert draws.shape == (50, 12)
     assert (
         hashlib.sha256(draws.tobytes()).hexdigest()
-        == "666d454d943161ed2100e0e2088cf88a16aee9d1a828d2c8d52378614bf28f9a"
+        == "7598b2fb51b31a386bdb6d48363c4c6b84619778243de247d1a8d47baaa3c257"
     )
 
 
@@ -256,9 +291,9 @@ def test_gibbs_draws_are_pinned():
      (CovarianceSpec.from_precision(np.eye(8) + 10 * np.ones((8, 8))), "rejection")],
     ids=["gibbs-from-the-start", "after-rejection-collapse"],
 )
-def test_gibbs_runs_one_chain_per_call(spec, sampler, monkeypatch):
-    # One chain draws the whole budget, so its burn-in is paid once however
-    # many workers are asked for.
+def test_gibbs_draws_the_whole_budget_in_one_call(spec, sampler, monkeypatch):
+    # One call draws the whole budget, so the chain count and the burn-in
+    # are the same however many workers are asked for.
     counts = []
     chain = orthants._gibbs_orthant_draws
 
@@ -280,11 +315,11 @@ def test_gibbs_moments_with_one_worker_are_pinned():
         return hashlib.sha256(moments.matrix.tobytes()).hexdigest()
 
     gibbs = truncated_moments_mc(equicorrelated_spec(12), 500, seed=11)
-    assert digest(gibbs) == "82393e3b2a072fb32fd5da924450fecfce67b5caada8da624fba7ca21e9cbcf3"
+    assert digest(gibbs) == "754595f0d7e65e3f03b4198fbfdaa012bf627e3ca6a800e0b60ee5c28e602ece"
     spec = CovarianceSpec.from_precision(np.eye(8) + 10 * np.ones((8, 8)))
     collapsed = truncated_moments_mc(spec, 200, seed=27, sampler="rejection")
     assert collapsed.sampler == "gibbs"
-    assert digest(collapsed) == "9daa74d4755155e7d498335a3069209f71f128ce1755dcca73eb651e3248de94"
+    assert digest(collapsed) == "c515dae26aee584746e651f5e157d8f5001df21946ff0ea792175c5d506375d3"
 
 
 def test_gibbs_selected_beyond_rejection_cap():
