@@ -254,9 +254,10 @@ def build_transition_graph(inst: Instance) -> TransitionGraph:
         target[1:, flip] = target[1:, flip][::-1]
         sources.append(improving)
         targets.append(np.searchsorted(keys, radix @ target))
-    src, dst = np.concatenate(sources), np.concatenate(targets)
-    rows = np.lexsort((dst, src))
-    return TransitionGraph(n=n, orders=orders.T, arcs=np.stack([src[rows], dst[rows]], axis=1))
+    # Every target is below the node count T, so sorting src * T + dst sorts the arcs by (src, dst).
+    count = len(keys)
+    src, dst = np.divmod(np.sort(np.concatenate(sources) * count + np.concatenate(targets)), count)
+    return TransitionGraph(n=n, orders=orders.T, arcs=np.stack([src, dst], axis=1))
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,9 @@ def transition_stats(graph: TransitionGraph, walks: int = 1000, seed: int = 0) -
     """Sink count, exact longest path, and sampled improving-walk lengths.
 
     Walks start from uniform random nodes and pick an improving arc uniformly
-    at random until they reach a sink.  A cyclic arc set raises ValueError.
+    at random until they reach a sink.  They advance in lock-step as one
+    array: each step draws one out-arc for every walk still off a sink and
+    drops the walks that reached one.  A cyclic arc set raises ValueError.
     """
     if walks < 0:
         raise ValueError(f"walks must be >= 0, got {walks}")
@@ -306,14 +309,15 @@ def transition_stats(graph: TransitionGraph, walks: int = 1000, seed: int = 0) -
         raise ValueError("improving arcs form a cycle; no longest path exists")
     longest_path = max(layers - 1, 0)
 
-    first, degree, targets = first.tolist(), out_degree.tolist(), dst.tolist()
     rng = substream(seed, "improving-walks")
-    lengths = []
-    for _ in range(walks):
-        node = int(rng.integers(count))
-        steps = 0
-        while degree[node]:
-            node = targets[first[node] + int(rng.integers(degree[node]))]
-            steps += 1
-        lengths.append(steps)
-    return TransitionStats(sinks=sinks, longest_path=longest_path, walk_lengths=tuple(lengths))
+    at = rng.integers(count, size=walks)
+    lengths = np.zeros(walks, dtype=np.int64)
+    live = np.flatnonzero(out_degree[at])
+    while len(live):
+        node = at[live]
+        at[live] = dst[first[node] + rng.integers(out_degree[node])]
+        lengths[live] += 1
+        live = live[out_degree[at[live]] > 0]
+    return TransitionStats(
+        sinks=sinks, longest_path=longest_path, walk_lengths=tuple(lengths.tolist())
+    )

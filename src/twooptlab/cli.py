@@ -2,7 +2,9 @@
 
 Each artifact embeds a manifest (command, parameters, seed, worker count,
 version); re-running the same manifest reproduces the artifact byte for
-byte.  Wall time is reported on stderr so it never perturbs artifact bytes.
+byte.  Input files (``--instance``, ``--graph``) are named by the sha256 of
+their bytes, not by their path, so the same input anywhere writes the same
+artifact.  Wall time is reported on stderr so it never perturbs artifact bytes.
 Exit code 0 means every verification passed; refusals, bad input and failed
 verifications exit 1 with a machine-readable diagnostic.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -58,6 +61,9 @@ def _manifest(args: argparse.Namespace) -> dict:
         for k, v in sorted(vars(args).items())
         if k not in ("func", "command", "out", "arcs_csv", "spectrum_csv") and v is not None
     }
+    for key in ("instance", "graph"):
+        if key in params:
+            params[key] = "sha256:" + hashlib.sha256(Path(params[key]).read_bytes()).hexdigest()
     return {
         "command": args.command,
         "params": params,

@@ -1,9 +1,12 @@
+import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from twooptlab import (
     CapExceededError,
@@ -27,6 +30,10 @@ from twooptlab.census import TransitionGraph
 from twooptlab.core import Instance, all_pairs, pair_count, pair_index
 from twooptlab.reduction import BaseGraph, build_reduction_instance, default_params
 from twooptlab.rng import substream
+
+# Two-sided level of the statistical checks, and its normal quantile (about 4.9).
+ALPHA = 1e-6
+Z_ALPHA = NormalDist().inv_cdf(1 - ALPHA / 2)
 
 
 def test_equal_weights_every_tour_is_two_optimal():
@@ -237,9 +244,11 @@ def test_float_twins_count_the_canonical_members_of_each_orbit():
 
 
 def test_census_equals_graph_sinks():
-    inst = random_instance(7, seed=42)
-    graph = build_transition_graph(inst)
-    assert count_two_optimal_exact(inst) == len(graph.sinks())
+    cases = [(7, 42)] + [(n, seed) for n in (8, 9) for seed in range(3)]
+    for n, seed in cases:
+        inst = random_instance(n, seed=seed)
+        graph = build_transition_graph(inst)
+        assert count_two_optimal_exact(inst) == len(graph.sinks()), (n, seed)
 
 
 def test_census_within_bounds_for_float_instances():
@@ -333,12 +342,55 @@ def test_stats_on_arcless_graph():
 
 
 def test_stats_on_hand_built_chain():
+    # Starts are uniform on 0 -> 1 -> 2, so lengths are uniform on {0, 1, 2}.
     orders = np.array([t.order for t in enumerate_canonical_tours(4)])
     graph = TransitionGraph(n=4, orders=orders, arcs=np.array([[0, 1], [1, 2]]))
-    stats = transition_stats(graph, walks=200, seed=1)
+    walks = 3000
+    stats = transition_stats(graph, walks=walks, seed=1)
     assert stats.sinks == 1
     assert stats.longest_path == 2
-    assert max(stats.walk_lengths) == 2
+    counts = np.bincount(stats.walk_lengths, minlength=3)
+    assert len(counts) == 3
+    lo, hi = binom.ppf(ALPHA / 2, walks, 1 / 3), binom.isf(ALPHA / 2, walks, 1 / 3)
+    assert all(lo <= k <= hi for k in counts), counts
+
+
+def _walk_length_moments(graph):
+    """Exact mean and variance of the improving-walk length from a uniform start.
+
+    E[L(u)] = 0 at a sink and 1 + the mean of E[L(v)] over the successors v
+    otherwise; E[L(u)^2] follows from L(u) = 1 + L(v) the same way.
+    """
+    successors = [[] for _ in graph.orders]
+    for u, v in graph.arcs.tolist():
+        successors[u].append(v)
+    moments = {}
+
+    def walk(u):
+        if u not in moments:
+            if not successors[u]:
+                moments[u] = (0.0, 0.0)
+            else:
+                after = [walk(v) for v in successors[u]]
+                mean = sum(m for m, _ in after) / len(after)
+                square = sum(s for _, s in after) / len(after)
+                moments[u] = (1 + mean, 1 + 2 * mean + square)
+        return moments[u]
+
+    first, second = np.array([walk(u) for u in range(len(graph.orders))]).mean(axis=0)
+    return first, second - first**2
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_walk_lengths_match_the_exact_walk_distribution(n):
+    graph = build_transition_graph(random_instance(n, seed=n))
+    mean, variance = _walk_length_moments(graph)
+    walks = 20_000
+    stats = transition_stats(graph, walks=walks, seed=n)
+    lengths = np.array(stats.walk_lengths)
+    z = (lengths.mean() - mean) / math.sqrt(variance / walks)
+    assert abs(z) <= Z_ALPHA, z
+    assert lengths.max() <= stats.longest_path
 
 
 def test_stats_longest_path_ignores_tied_lengths():

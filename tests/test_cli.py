@@ -150,21 +150,43 @@ def test_artifacts_do_not_depend_on_the_output_directory(argv, side_flag, tmp_pa
 
 
 @pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("reduce", "--graph", "0 1\n1 2\n"),
+        ("census", "--instance", json.dumps({"n": 5, "mode": "exact", "weights": [1] * 10})),
+    ],
+    ids=["reduce", "census"],
+)
+def test_manifests_name_inputs_by_content(command, flag, text, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for where in (Path("a"), Path("b") / "c"):
+        where.mkdir(parents=True)
+        (where / "input.txt").write_text(text)
+        out = where / "artifact.json"
+        assert run_cli([command, flag, str(where / "input.txt"), "--out", str(out)], capsys)[0] == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    params = json.loads(written[0])["manifest"]["params"]
+    assert params[flag[2:]] == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
     "argv, artifact_sha256, rows_sha256",
     [
         (
             ["--n", "8", "--seed", "0"],
-            "95d71b68c136b704167b9b9834434c106aa55a6e66a91f562b2b066ff78d315e",
+            "631cf2bff381f663d2fad856960a93ee24a62b3eb89e960060dcbf7ec0833e45",
             "a13f25d63bbb85dd89c3788cb014fa2981a20ccd3cca568bf758e9e1a02dd598",
         ),
         (
             ["--n", "8", "--seed", "1"],
-            "4c20fbf7cdb7733c2947bc7607153b1c3a1ade780cc0b9d3377dfb9f7b3c2876",
+            "339fed7c0c736734d81374db4676a3d42d25138f1b4e0711031ab05d7583068a",
             "f42867669ba5bbe7d30205962d4a1fdff7d88ddaa83a08ec891730366b9d2005",
         ),
         (
             ["--n", "8", "--seed", "2"],
-            "36d95a23b05acb40cbb48b1697c4d254e2806f8cfe783ac7effbd8a9158509be",
+            "43dfb24e7c81cfbd5deb49a3df924b4f1d3c6a32a9e874fcc970cd94d525473d",
             "53a18d6141309d126bf330b072376b044b74076e2ceaa9823f7338d387af4d1e",
         ),
         (
