@@ -150,8 +150,9 @@ def _two_optimal_orders(
     for cls in gate:
         after[cls[1:]] = cls[:-1]
     closing: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for a, b, c, d in move_quadruples(n):
-        closing[max(c, d)].append((a, b, c, d))
+    if len(set(inst.weights)) > 1:  # under equal weights every 2-change gains exactly 0
+        for a, b, c, d in move_quadruples(n):
+            closing[max(c, d)].append((a, b, c, d))
 
     def extend(front: np.ndarray, p: int) -> np.ndarray:
         k = front.shape[1]
@@ -166,6 +167,8 @@ def _two_optimal_orders(
         child = np.empty((p + 1, len(parent)), dtype=np.int16)
         child[:p] = front[:, parent]
         child[p] = vertex
+        if not closing[p]:
+            return child
         scaled = child * n
         improving = np.zeros(len(parent), dtype=bool)
         for move in closing[p]:
@@ -237,7 +240,7 @@ class TransitionGraph:
 def build_transition_graph(inst: Instance) -> TransitionGraph:
     """Full node and improving-arc sets; refuses n beyond ``ALL_TOURS_CAP``."""
     n = inst.n
-    # No 2-change strictly improves under equal weights, so the search keeps every canonical order.
+    # Under equal weights the search tests no 2-change and keeps every canonical order.
     blocks = _two_optimal_orders(constant_instance(n), ALL_TOURS_CAP)
     orders = np.concatenate(list(blocks), axis=1).astype(np.int64)
     # Base-n keys, increasing over the nodes; n <= ALL_TOURS_CAP = 9 keeps n**n below 2**31.

@@ -22,6 +22,9 @@ every draw.  Each call draws from one stream, whatever the worker count.
 Rejection draws in batches of at most ``rng.batch_rows(d)`` rows.  The
 orthant probability itself is one call to ``polytopes.hit_rate``, the
 hit-or-miss screen behind the polytope volume.
+
+Importing this module loads numpy only; ``scipy.special`` loads on the first
+Gibbs draw, so processes that never run a Gibbs chain never import scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import NotPositiveDefiniteError
 from .polytopes import MCEstimate, hit_rate
@@ -187,6 +189,8 @@ def _gibbs_orthant_draws(spec: CovarianceSpec, count: int, rng,
     keeps full precision where ndtr(t), the mass above 0, is tiny and where
     it rounds to 1 (t above about 8.3, where 1 - ndtr(t) is 0).
     """
+    from scipy.special import log_ndtr, ndtri_exp  # the only scipy use; kept off the import path
+
     diag = np.diag(spec.precision)
     cond_sd = 1.0 / np.sqrt(diag)
     coupling = -spec.precision / diag[:, None]  # conditional mean of x_i is x @ coupling[i]

@@ -84,9 +84,20 @@ def test_is_two_optimal_refuses_a_tour_of_another_size(size):
         is_two_optimal(random_instance(5, seed=0), Tour(tuple(range(size))))
 
 
-@pytest.mark.parametrize("n,count", [(4, 3), (5, 12)])
+@pytest.mark.parametrize("n,count", [(4, 3), (5, 12), (6, 60), (7, 360), (8, 2520), (9, 20160)])
 def test_census_equal_weights(n, count):
     assert count_two_optimal_exact(constant_instance(n)) == count
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_equal_weight_search_lists_every_canonical_order(n):
+    # Under equal weights the search tests no move, and keeps every order.
+    blocks = census._two_optimal_orders(constant_instance(n), 9)
+    orders = [tuple(o) for o in np.concatenate(list(blocks), axis=1).T.tolist()]
+    assert len(orders) == math.factorial(n - 1) // 2
+    assert orders == sorted(set(orders))
+    if n <= 8:
+        assert orders == [t.order for t in enumerate_canonical_tours(n)]
 
 
 @st.composite

@@ -307,6 +307,9 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     argvs = {
         "slope.json": ["slope", "--samples", "2000", "--seed", "3"],
         "census.json": ["census", "--n", "7", "--seed", "3"],
+        # Beyond d = 8 the moments come from Gibbs chains, whose scipy import
+        # runs for the first time in the fresh process.
+        "orthant.json": ["orthant", "--d", "9", "--samples", "2000", "--moment-samples", "100"],
     }
     for name, argv in argvs.items():
         assert run_cli(argv + ["--out", str(tmp_path / f"in-{name}")], capsys)[0] == 0
@@ -570,3 +573,38 @@ def test_importing_the_cli_leaves_the_pool_and_blas_control_unmade():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+def test_only_a_gibbs_draw_imports_scipy(tmp_path):
+    # scipy.special serves only the Gibbs chains of `orthant` beyond d = 8, so
+    # importing the CLI and running every other command leaves scipy unloaded.
+    (tmp_path / "p3.edges").write_text("0 1\n1 2\n")
+    argvs = [
+        ["gen", "--n", "6"],  # written to 0.out
+        ["census", "--n", "7", "--seed", "3"],
+        ["census", "--instance", "0.out"],
+        ["tgraph", "--n", "6", "--walks", "100"],
+        ["reduce", "--graph", "p3.edges"],
+        ["construct-s", "--n", "9"],
+        ["estimate-vol", "--n", "6", "--method", "rejection", "--samples", "2000"],
+        ["estimate-vol", "--n", "5", "--method", "telescoping", "--samples-per-phase", "100"],
+        ["estimate-g", "--n", "17", "--samples", "2000"],
+        ["bounds", "--n", "17", "--samples", "2000"],
+        ["slope", "--ns", "9", "17", "--samples", "2000"],
+        ["figure", "--n-min", "5", "--n-max", "6", "--samples", "2000"],
+        ["orthant", "--d", "6", "--samples", "2000", "--moment-samples", "200"],
+    ]
+    script = (
+        "import sys\n"
+        "import twooptlab.cli\n"
+        "print('scipy' in sys.modules)\n"
+        f"codes = [twooptlab.cli.main(argv + ['--out', f'{{k}}.out']) for k, argv in enumerate({argvs!r})]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == f"{[0] * len(argvs)} False"
