@@ -243,7 +243,7 @@ def build_transition_graph(inst: Instance) -> TransitionGraph:
     # Under equal weights the search tests no 2-change and keeps every canonical order.
     blocks = _two_optimal_orders(constant_instance(n), ALL_TOURS_CAP)
     orders = np.concatenate(list(blocks), axis=1).astype(np.int64)
-    # Base-n keys, increasing over the nodes; n <= ALL_TOURS_CAP = 9 keeps n**n below 2**31.
+    # Base-n int64 keys, increasing over the nodes; n**n = 10**10 at n = 10 is far below 2**63.
     radix = n ** np.arange(n - 1, -1, -1)
     keys = radix @ orders
     w = _weight_table(inst)

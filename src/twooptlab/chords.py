@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import TwoChange
+from .core import Tour, TwoChange, move_edges
 
 
 def _stage_count(n: int) -> int:
@@ -76,21 +76,15 @@ def build_chord_disjoint_set(n: int) -> ChordDisjointSet:
     )
 
 
-def chord_edges_of_move(n: int, move: TwoChange) -> tuple[frozenset, frozenset]:
-    """The two chords a move adds on the reference tour (vertices = positions)."""
-    i, j = move.i, move.j
-    return frozenset((i, j)), frozenset(((i + 1) % n, (j + 1) % n))
-
-
 def verify_chord_disjoint(s: ChordDisjointSet) -> bool:
-    """Exhaustive check that no two moves share an added chord, in one pass."""
-    seen: set[frozenset] = set()
-    for move in s.moves:
-        chords = chord_edges_of_move(s.n, move)
-        if chords[0] in seen or chords[1] in seen:
-            return False
-        seen.update(chords)
-    return True
+    """Exhaustive check that no two moves share an added chord, in one pass.
+
+    Chords are read off ``core.move_edges`` on the reference tour, whose
+    vertices are its positions.
+    """
+    reference = Tour(tuple(range(s.n)))
+    added = [frozenset(chord) for move in s.moves for chord in move_edges(reference, move)[1]]
+    return len(set(added)) == len(added)
 
 
 @dataclass(frozen=True)

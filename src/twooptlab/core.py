@@ -85,11 +85,8 @@ class Instance:
         """Dense symmetric lookup table; zero diagonal."""
         zero = 0 if self.mode == "exact" else 0.0
         mat = [[zero] * self.n for _ in range(self.n)]
-        k = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                mat[i][j] = mat[j][i] = self.weights[k]
-                k += 1
+        for (i, j), w in zip(all_pairs(self.n), self.weights):
+            mat[i][j] = mat[j][i] = w
         return mat
 
     def to_json_dict(self) -> dict:

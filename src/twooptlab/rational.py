@@ -56,10 +56,3 @@ def solve_exact(matrix, rhs) -> list[Fraction]:
         col = next(c for c in range(n) if c not in pivots)
         raise SingularMatrixError(f"exact pivot vanished in column {col}")
     return [row[n] for row in rows]
-
-
-def rank_exact(matrix) -> int:
-    """Exact rank over rationals."""
-    if not matrix:
-        return 0
-    return len(_row_reduce(matrix, len(matrix[0]))[1])

@@ -34,12 +34,12 @@ from .core import (
     ALL_TOURS_CAP,
     ENUMERATION_CAP,
     Instance,
+    all_pairs,
     check_enumeration_cap,
     enumerate_canonical_tours,
-    pair_count,
 )
 from .errors import CapExceededError, SingularMatrixError
-from .rational import bareiss_determinant, rank_exact, solve_exact
+from .rational import bareiss_determinant, solve_exact
 
 COVER_CAP = 10  # base-graph vertices for path-cover enumeration
 
@@ -119,19 +119,14 @@ def build_reduction_instance(g: BaseGraph, params: ReductionParams) -> Instance:
     """Exact complete instance on nv+m vertices; auxiliaries take the top labels."""
     params.validate_for(g.nv)
     n = g.nv + params.m
-    weights = [0] * pair_count(n)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j < g.nv:
-                weights[k] = 0 if (i, j) in g.edges else params.M
-            elif i < g.nv:
-                weights[k] = params.L
-            else:
-                weights[k] = params.N
-            k += 1
+    weights = tuple(
+        (0 if (i, j) in g.edges else params.M) if j < g.nv
+        else params.L if i < g.nv
+        else params.N
+        for i, j in all_pairs(n)
+    )
     label = f"reduction(nv={g.nv},m={params.m},L={params.L},N={params.N},M={params.M})"
-    return Instance(n=n, weights=tuple(weights), mode="exact", label=label)
+    return Instance(n=n, weights=weights, mode="exact", label=label)
 
 
 def _contains_non_edge(order: tuple[int, ...], g: BaseGraph) -> bool:
@@ -161,14 +156,9 @@ def cover_coefficient(size: int, m: int) -> int:
 
 def corrected_cover_coefficient(size: int, non_singleton: int, m: int) -> Fraction:
     """Per-cover tour count charging orientations only to non-singleton paths."""
-    if not (0 <= non_singleton <= size <= m):
-        raise ValueError("need 0 <= non_singleton <= size <= m")
-    return (
-        Fraction(2) ** (non_singleton - 1)
-        * math.factorial(m)
-        * math.factorial(m - 1)
-        // math.factorial(m - size)
-    )
+    if not (0 <= non_singleton <= size):
+        raise ValueError("need 0 <= non_singleton <= size")
+    return Fraction(cover_coefficient(size, m), 2 ** (size - non_singleton))
 
 
 def canonical_cover(paths) -> frozenset[tuple[int, ...]]:
@@ -319,7 +309,9 @@ def _recover(model: str, b, nv: int, columns, coefficient) -> RecoveryResult:
         raise ValueError(f"need {nv} census values, got {len(b)}")
     b = tuple(int(x) for x in b)
     matrix = [[coefficient(*col, m) for col in columns] for m in range(nv + 1, 2 * nv + 1)]
-    if len(columns) != nv or rank_exact(matrix) < len(columns):
+    try:
+        a = tuple(solve_exact(matrix, list(b)))
+    except ValueError:  # non-square, or SingularMatrixError: either way rank-deficient
         return RecoveryResult(
             model=model,
             b=b,
@@ -332,7 +324,6 @@ def _recover(model: str, b, nv: int, columns, coefficient) -> RecoveryResult:
                 "system is rank-deficient"
             ),
         )
-    a = tuple(solve_exact(matrix, list(b)))
     return RecoveryResult(
         model=model,
         b=b,

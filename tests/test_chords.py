@@ -10,7 +10,7 @@ from twooptlab import (
     participation_spectrum,
     verify_chord_disjoint,
 )
-from twooptlab.chords import ChordDisjointSet, chord_edges_of_move
+from twooptlab.chords import ChordDisjointSet
 
 VALID_SIZES = [5, 9, 17, 33, 65]
 
@@ -116,12 +116,6 @@ def test_moves_are_valid_two_changes():
     for n in VALID_SIZES:
         for move in build_chord_disjoint_set(n).moves:
             move.validate_for(n)
-
-
-def test_chord_edges_of_move():
-    f1, f2 = chord_edges_of_move(5, TwoChange(0, 3))
-    assert f1 == frozenset({0, 3})
-    assert f2 == frozenset({1, 4})
 
 
 def test_blue_removals_sit_at_even_positions():

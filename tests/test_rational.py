@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from twooptlab.errors import SingularMatrixError
-from twooptlab.rational import bareiss_determinant, rank_exact, solve_exact
+from twooptlab.rational import bareiss_determinant, solve_exact
 from twooptlab.rng import substream
 
 
@@ -43,10 +43,3 @@ def test_solve_round_trip():
 def test_solve_raises_on_singular():
     with pytest.raises(SingularMatrixError):
         solve_exact([[1, 2], [2, 4]], [1, 2])
-
-
-def test_rank_exact():
-    assert rank_exact([[1, 2], [2, 4]]) == 1
-    assert rank_exact([[1, 0], [0, 1]]) == 2
-    assert rank_exact([[1, 2, 3], [2, 4, 6]]) == 1
-    assert rank_exact([]) == 0

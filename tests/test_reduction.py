@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twooptlab import (
     BaseGraph,
@@ -23,6 +25,7 @@ from twooptlab import (
     tours_per_cover_empirical,
     verify_no_nonedge_characterization,
 )
+from twooptlab.core import Instance, all_pairs, pair_count
 from twooptlab.reduction import (
     canonical_cover,
     cover_census,
@@ -72,6 +75,35 @@ def test_build_instance_penalty_edges_iff_incomplete():
     m_weights = [w for w in p3_inst.weights if w == default_params(3, 4).M]
     assert len(m_weights) == 1
     assert p3_inst.weight(0, 2) == default_params(3, 4).M
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=9),
+    st.sampled_from(["exact", "float"]),
+    st.integers(min_value=0, max_value=2**31),
+    st.data(),
+)
+def test_weight_tables_follow_the_pair_layout(n, mode, seed, data):
+    # Distinct weights, so a pair read from the wrong slot cannot go unnoticed.
+    ranks = substream(seed, "weight-matrix", n).permutation(pair_count(n))
+    weights = tuple(int(r) if mode == "exact" else float(r) + 0.5 for r in ranks)
+    inst = Instance(n=n, weights=weights, mode=mode)
+    mat = inst.weight_matrix()
+    assert all(mat[i][i] == 0 for i in range(n))
+    for i, j in all_pairs(n):
+        assert mat[i][j] == mat[j][i] == inst.weight(i, j)
+
+    nv = data.draw(st.integers(min_value=2, max_value=5))
+    edges = data.draw(st.sets(st.sampled_from(all_pairs(nv))))
+    m = data.draw(st.integers(min_value=nv + 1, max_value=2 * nv))
+    big_l = data.draw(st.integers(min_value=1, max_value=5))
+    params = ReductionParams(m=m, L=big_l, N=2 * big_l, M=(nv + m) * 2 * big_l + 1)
+    reduced = build_reduction_instance(BaseGraph.from_edges(nv, edges), params)
+    for i, j in all_pairs(nv + m):
+        inside = sum(v < nv for v in (i, j))
+        expected = {2: 0 if (i, j) in edges else params.M, 1: params.L, 0: params.N}[inside]
+        assert reduced.weight(i, j) == expected
 
 
 def test_no_nonedge_characterization_small_bases():
