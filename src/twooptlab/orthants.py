@@ -50,17 +50,15 @@ class CovarianceSpec:
     precision: np.ndarray
     covariance: np.ndarray
     chol_covariance: np.ndarray
-    det_precision: float
-    closed_form: dict | None = None
 
     @classmethod
-    def from_precision(cls, precision, closed_form: dict | None = None) -> "CovarianceSpec":
+    def from_precision(cls, precision) -> "CovarianceSpec":
         precision = np.asarray(precision, dtype=float)
+        if precision.ndim != 2 or precision.shape[0] != precision.shape[1]:
+            raise ValueError(f"precision must be a square matrix, got shape {precision.shape}")
         d = precision.shape[0]
         if d < 1:
             raise ValueError(f"need d >= 1, got d={d}")
-        if precision.shape != (d, d):
-            raise ValueError("precision must be square")
         if not np.allclose(precision, precision.T, atol=1e-12):
             raise ValueError("precision must be symmetric")
         try:
@@ -78,8 +76,6 @@ class CovarianceSpec:
             precision=precision,
             covariance=covariance,
             chol_covariance=np.linalg.cholesky(covariance),
-            det_precision=float(np.linalg.det(precision)),
-            closed_form=closed_form,
         )
 
 
@@ -106,7 +102,7 @@ def equicorrelated_spec(d: int) -> CovarianceSpec:
         raise ValueError(f"need d >= 2, got {d}")
     precision = np.full((d, d), 1.0 / (2 * d))
     np.fill_diagonal(precision, 1.0)
-    return CovarianceSpec.from_precision(precision, closed_form=equicorrelated_closed_forms(d))
+    return CovarianceSpec.from_precision(precision)
 
 
 def orthant_prob_mc(spec: CovarianceSpec, samples: int, seed: int, workers: int = 1) -> MCEstimate:
@@ -285,41 +281,30 @@ def _pair_densities_at_origin(draws: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SecondMomentEvaluation:
     values: np.ndarray
-    mode: str
-    f_at_origin: dict | float
+    pair_densities: np.ndarray  # d x d, zero diagonal: the F_kq(0,0) the values used
 
 
 def second_moment_formula(
-    spec: CovarianceSpec,
-    fkq_mode: str,
-    draws: np.ndarray | None = None,
+    spec: CovarianceSpec, draws: np.ndarray | None = None
 ) -> SecondMomentEvaluation:
     """Second-moment identity E[X_i^2] = sigma_ii + sum_kq g_ikq F_kq(0,0).
 
-    ``fkq_mode`` selects how the pair densities at the origin enter:
-    "mc-estimate" evaluates them by kernel density on orthant-conditioned
-    draws, "lower-bound-2-over-pi" substitutes the provable lower bound
-    2/pi for every pair.
+    With orthant-conditioned ``draws`` the pair densities at the origin are
+    their kernel density estimate; without, every pair takes the provable
+    lower bound 2/pi.
     """
     sigma = spec.covariance
-    d = spec.d
-    if fkq_mode == "lower-bound-2-over-pi":
-        f = np.full((d, d), 2.0 / math.pi)
+    if draws is None:
+        f = np.full((spec.d, spec.d), 2.0 / math.pi)
         np.fill_diagonal(f, 0.0)
-        f_report: dict | float = 2.0 / math.pi
-    elif fkq_mode == "mc-estimate":
-        if draws is None:
-            raise ValueError("mc-estimate mode needs orthant-conditioned draws")
-        f = _pair_densities_at_origin(draws)
-        f_report = {f"{k},{q}": float(f[k, q]) for k in range(d) for q in range(k + 1, d)}
     else:
-        raise ValueError(f"unknown fkq mode {fkq_mode!r}")
+        f = _pair_densities_at_origin(draws)
     # sum_kq g_ikq F_kq with g_ikq = sigma_ik sigma_iq - sigma_ik^2 sigma_kq / sigma_kk.
     diag = np.diag(sigma)
     corrections = ((sigma @ f) * sigma).sum(axis=1)
     corrections -= (sigma * sigma) @ ((f * sigma).sum(axis=1) / diag)
     values = diag + corrections
-    return SecondMomentEvaluation(values=values, mode=fkq_mode, f_at_origin=f_report)
+    return SecondMomentEvaluation(values=values, pair_densities=f)
 
 
 def orthant_moment_bound(spec: CovarianceSpec, moments) -> float:

@@ -38,7 +38,7 @@ def _row_reduce(matrix, cols: int) -> tuple[list[list[Fraction]], list[int], Fra
     return rows, pivots, det
 
 
-def bareiss_determinant(matrix: list[list[int]]) -> int:
+def determinant_exact(matrix: list[list[int]]) -> int:
     """Exact determinant of an integer matrix."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):

@@ -39,7 +39,7 @@ from .core import (
     enumerate_canonical_tours,
 )
 from .errors import CapExceededError, SingularMatrixError
-from .rational import bareiss_determinant, solve_exact
+from .rational import determinant_exact, solve_exact
 
 COVER_CAP = 10  # base-graph vertices for path-cover enumeration
 
@@ -218,17 +218,20 @@ def _arms(v: int, allowed: frozenset[int], adj: dict[int, list[int]]):
 
 
 def _paths_through(v: int, allowed: frozenset[int], adj: dict[int, list[int]]):
-    """Canonical simple paths containing v with all vertices in ``allowed``."""
+    """Canonical simple paths containing v with all vertices in ``allowed``.
+
+    Two disjoint arms make each longer path once per direction; only the
+    direction that starts at the smaller end is kept.
+    """
     arms = _arms(v, allowed, adj)
-    seen = set()
+    paths = []
     for left, right in product(arms, arms):
         if set(left) & set(right):
             continue
         path = left[::-1] + (v,) + right
-        if len(path) > 1 and path[0] > path[-1]:
-            path = path[::-1]
-        seen.add(path)
-    return sorted(seen)
+        if len(path) == 1 or path[0] < path[-1]:
+            paths.append(path)
+    return sorted(paths)
 
 
 def enumerate_path_covers(g: BaseGraph):
@@ -270,18 +273,27 @@ def coefficient_matrix(nv: int) -> list[list[int]]:
 
 
 def coefficient_matrix_determinant(nv: int) -> int:
-    return bareiss_determinant(coefficient_matrix(nv))
+    return determinant_exact(coefficient_matrix(nv))
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
     model: str
     b: tuple[int, ...]
-    a: tuple[Fraction, ...] | None
-    full_rank: bool
-    integral: bool
-    nonnegative: bool
+    a: tuple[Fraction, ...] | None  # None when the system is rank-deficient
     detail: str = ""
+
+    @property
+    def full_rank(self) -> bool:
+        return self.a is not None
+
+    @property
+    def integral(self) -> bool:
+        return self.a is not None and all(x.denominator == 1 for x in self.a)
+
+    @property
+    def nonnegative(self) -> bool:
+        return self.a is not None and all(x >= 0 for x in self.a)
 
     def to_json_dict(self) -> dict:
         def fmt(x: Fraction):
@@ -310,28 +322,10 @@ def _recover(model: str, b, nv: int, columns, coefficient) -> RecoveryResult:
     b = tuple(int(x) for x in b)
     matrix = [[coefficient(*col, m) for col in columns] for m in range(nv + 1, 2 * nv + 1)]
     try:
-        a = tuple(solve_exact(matrix, list(b)))
+        return RecoveryResult(model, b, tuple(solve_exact(matrix, list(b))))
     except ValueError:  # non-square, or SingularMatrixError: either way rank-deficient
-        return RecoveryResult(
-            model=model,
-            b=b,
-            a=None,
-            full_rank=False,
-            integral=False,
-            nonnegative=False,
-            detail=(
-                f"{len(columns)} stratified unknowns vs {nv} measurements; "
-                "system is rank-deficient"
-            ),
-        )
-    return RecoveryResult(
-        model=model,
-        b=b,
-        a=a,
-        full_rank=True,
-        integral=all(x.denominator == 1 for x in a),
-        nonnegative=all(x >= 0 for x in a),
-    )
+        detail = f"{len(columns)} stratified unknowns vs {nv} measurements"
+        return RecoveryResult(model, b, None, detail + "; system is rank-deficient")
 
 
 def recover_path_cover_counts(b, nv: int) -> RecoveryResult:
@@ -379,12 +373,7 @@ def reduction_report(g: BaseGraph, cap: int = ENUMERATION_CAP) -> dict:
     brute = count_path_covers_bruteforce(g)
     paper = recover_path_cover_counts(b, g.nv)
     corrected = recover_corrected_counts(b, g.nv)
-    matches = (
-        corrected.full_rank
-        and corrected.a is not None
-        and [int(x) for x in corrected.a] == brute
-        and corrected.integral
-    )
+    matches = corrected.a is not None and list(corrected.a) == brute
     return {
         "nv": g.nv,
         "edges": sorted(g.edges),
@@ -404,6 +393,6 @@ def hamiltonian_path_count(g: BaseGraph) -> int:
     ``count_path_covers_bruteforce(g)[0]`` is the brute-force value.
     """
     result = recover_corrected_counts(census_vector(g), g.nv)
-    if not result.full_rank or result.a is None:
+    if result.a is None:
         raise SingularMatrixError(result.detail)
     return int(result.a[0])

@@ -208,6 +208,26 @@ def test_tgraph_bytes_are_pinned(argv, artifact_sha256, rows_sha256, tmp_path, c
     assert hashlib.sha256(rows).hexdigest() == rows_sha256
 
 
+@pytest.mark.parametrize(
+    "edges, extra, code, artifact_sha256",
+    [
+        ("0 1\n1 2\n", [], 0, "db9cb2bebf85eddbb55315fc5ff3d33aaf1ca6f4aecc692f606572bb40e4b468"),
+        ("0 1\n1 2\n0 2\n", [], 0, "b172ff3ff2492c0de263aacdc2a48f3b5b9846353b2bcbe2918bb9d811e4786a"),
+        # nv = 4 needs the huge flag, and the corrected model is rank-deficient there.
+        ("0 1\n1 2\n2 3\n", ["--i-know-this-is-huge"], 1,
+         "200fc53903063e5e569489c3d9c22f45e7f1ffaadb0612485c5bc3caee646034"),
+        ("0 1\n1 2\n2 3\n0 3\n", ["--i-know-this-is-huge"], 1,
+         "b4e5c5db28a9afa1896bfd5ff4e02dec635450e928cc940090b3adb709c0defa"),
+    ],
+    ids=["P3", "K3", "P4", "C4"],
+)
+def test_reduce_bytes_are_pinned(edges, extra, code, artifact_sha256, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("g.edges").write_text(edges)
+    assert run_cli(["reduce", "--graph", "g.edges", *extra, "--out", "report.json"], capsys)[0] == code
+    assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == artifact_sha256
+
+
 def test_reduce_p3_reports_both_models(tmp_path, capsys):
     edges = tmp_path / "p3.edges"
     edges.write_text("0 1\n1 2\n")

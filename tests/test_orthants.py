@@ -57,6 +57,8 @@ def test_spec_validation():
     with pytest.raises(NotPositiveDefiniteError):
         CovarianceSpec.from_precision([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):
+        CovarianceSpec.from_precision(5.0)
+    with pytest.raises(ValueError):
         equicorrelated_spec(1)
 
 
@@ -73,8 +75,8 @@ def test_equicorrelated_closed_forms_d2_hand_values():
 @pytest.mark.parametrize("d", [2, 5, 10, 25, 50])
 def test_equicorrelated_closed_forms_match_dense_linear_algebra(d):
     spec = equicorrelated_spec(d)
-    forms = spec.closed_form
-    assert abs(spec.det_precision - forms["det_precision"]) <= 1e-10 * forms["det_precision"]
+    forms = equicorrelated_closed_forms(d)
+    assert abs(np.linalg.det(spec.precision) - forms["det_precision"]) <= 1e-10 * forms["det_precision"]
     assert abs(spec.covariance[0, 0] - forms["sigma_diag"]) <= 1e-10 * abs(forms["sigma_diag"])
     assert abs(spec.covariance[0, 1] - forms["sigma_off"]) <= 1e-10 * abs(forms["sigma_off"])
     off = spec.covariance[~np.eye(d, dtype=bool)]
@@ -329,13 +331,13 @@ def test_gibbs_selected_beyond_rejection_cap():
 
 
 def test_second_moment_formula_identity_kills_corrections():
-    result = second_moment_formula(identity_spec(4), "lower-bound-2-over-pi")
+    result = second_moment_formula(identity_spec(4))
     assert np.allclose(result.values, 1.0, atol=1e-14)
 
 
 def test_second_moment_formula_limit_value():
-    # 2/pi mode approaches 1 - 4/(9 pi) for large dimension.
-    value = second_moment_formula(equicorrelated_spec(200), "lower-bound-2-over-pi").values[0]
+    # The 2/pi lower bound approaches 1 - 4/(9 pi) for large dimension.
+    value = second_moment_formula(equicorrelated_spec(200)).values[0]
     assert abs(value - (1 - 4 / (9 * math.pi))) < 2 / 200
 
 
@@ -344,16 +346,16 @@ def test_second_moment_formula_modes_order():
     # negative total coefficient, so it can only raise the evaluation.
     spec = equicorrelated_spec(4)
     moments = truncated_moments_mc(spec, 40_000, seed=23)
-    mc_mode = second_moment_formula(spec, "mc-estimate", draws=moments.draws)
-    lb_mode = second_moment_formula(spec, "lower-bound-2-over-pi")
+    mc_mode = second_moment_formula(spec, draws=moments.draws)
+    lb_mode = second_moment_formula(spec)
     assert np.all(lb_mode.values >= mc_mode.values - 1e-9)
-    assert all(v >= 2 / math.pi for v in mc_mode.f_at_origin.values())
+    assert np.all(mc_mode.pair_densities[np.triu_indices(spec.d, 1)] >= 2 / math.pi)
 
 
 def test_second_moment_formula_matches_sampled_moments_d3():
     spec = equicorrelated_spec(3)
     moments = truncated_moments_mc(spec, 60_000, seed=24)
-    evaluated = second_moment_formula(spec, "mc-estimate", draws=moments.draws).values
+    evaluated = second_moment_formula(spec, draws=moments.draws).values
     diag = moments.diagonal()
     # KDE bias at this sample size stays within a few percent; allow a loose
     # band on top of the MC error.
@@ -380,7 +382,7 @@ def test_second_moment_formula_matches_reference_loop():
     kde = {(k, q): pair_density(k, q) for k, q in pairs}
     kde.update({(q, k): v for (k, q), v in kde.items()})
     lower = {(k, q): 2.0 / math.pi for k in range(d) for q in range(d)}
-    for mode, f in (("mc-estimate", kde), ("lower-bound-2-over-pi", lower)):
+    for given, f in ((draws, kde), (None, lower)):
         expected = [
             sigma[i, i]
             + sum(
@@ -391,18 +393,12 @@ def test_second_moment_formula_matches_reference_loop():
             )
             for i in range(d)
         ]
-        result = second_moment_formula(spec, mode, draws=draws)
+        result = second_moment_formula(spec, draws=given)
         assert result.values == pytest.approx(expected, rel=1e-12)
-    mc = second_moment_formula(spec, "mc-estimate", draws=draws).f_at_origin
-    assert list(mc) == [f"{k},{q}" for k, q in pairs]
-    assert list(mc.values()) == pytest.approx([kde[pair] for pair in pairs], rel=1e-12)
-
-
-def test_second_moment_formula_requires_draws_for_mc_mode():
-    with pytest.raises(ValueError):
-        second_moment_formula(equicorrelated_spec(3), "mc-estimate")
-    with pytest.raises(ValueError):
-        second_moment_formula(equicorrelated_spec(3), "bogus-mode")
+        off = [(k, q) for k in range(d) for q in range(d) if q != k]
+        used = [result.pair_densities[pair] for pair in off]
+        assert used == pytest.approx([f[pair] for pair in off], rel=1e-12)
+        assert np.all(np.diag(result.pair_densities) == 0.0)
 
 
 def test_moment_bound_identity_plugin():
@@ -469,5 +465,5 @@ def test_g_sum_closed_form_matches_dense_sum():
 def test_reduced_bound_against_genz_qmc(d):
     spec = equicorrelated_spec(d)
     assert math.log(genz_orthant(spec)) <= reduced_orthant_bound(d)
-    lower = second_moment_formula(spec, "lower-bound-2-over-pi").values
+    lower = second_moment_formula(spec).values
     assert orthant_moment_bound(spec, lower) == pytest.approx(reduced_orthant_bound(d), rel=1e-12)

@@ -146,6 +146,42 @@ def test_path_cover_bruteforce_hand_counts():
     assert count_path_covers_bruteforce(BaseGraph.from_edges(3, [])) == [0, 0, 1]
 
 
+def linear_forest_counts(g: BaseGraph) -> list[int]:
+    """Cover counts from edge subsets: a cover of size s is an acyclic subset of
+    nv - s edges in which no vertex has degree above 2."""
+    counts = [0] * g.nv
+    edges = sorted(g.edges)
+    for mask in range(1 << len(edges)):
+        chosen = [e for k, e in enumerate(edges) if mask >> k & 1]
+        degree = [0] * g.nv
+        root = list(range(g.nv))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        forest = True
+        for u, v in chosen:
+            degree[u] += 1
+            degree[v] += 1
+            ru, rv = find(u), find(v)
+            forest = forest and ru != rv and degree[u] <= 2 and degree[v] <= 2
+            root[ru] = rv
+        if forest:
+            counts[g.nv - len(chosen) - 1] += 1
+    return counts
+
+
+def test_path_cover_bruteforce_matches_linear_forest_count():
+    rng = substream(11, "linear-forests")
+    for _ in range(120):
+        nv = int(rng.integers(2, 7))
+        edges = [(u, v) for u, v in all_pairs(nv) if rng.random() < 0.6]
+        g = BaseGraph.from_edges(nv, edges)
+        assert count_path_covers_bruteforce(g) == linear_forest_counts(g), sorted(g.edges)
+
+
 def test_path_cover_enumeration_is_duplicate_free():
     covers = list(enumerate_path_covers(P4))
     assert len(covers) == len(set(covers))
