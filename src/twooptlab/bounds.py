@@ -21,7 +21,11 @@ from .rng import run_batches
 # sqrt(pi/2) * exp(-1/(9 pi)): base of the per-tour probability bound.
 BOUND_CONSTANT = math.sqrt(math.pi / 2.0) * math.exp(-1.0 / (9.0 * math.pi))
 EXPECTED_COUNT_BASE = 1.2098
-INTERACTION_CHUNK_ROWS = 1024  # sample rows per x @ a product: 0.5 MB at n = 65
+# Sample rows per draw and per x @ a product: 0.5 MB of draws at n = 65.  The
+# product's last bits depend on its row count (at d = 255, 9-37 of 8,192
+# rows change under chunks of 256-8,192 rows), so another size changes the
+# estimates' bytes.
+INTERACTION_CHUNK_ROWS = 1024
 
 
 def interaction_matrix(s: ChordDisjointSet) -> tuple[np.ndarray, list[int]]:
@@ -54,13 +58,11 @@ def estimate_interaction_factor(
     a, _ = interaction_matrix(s)
 
     def batch(stream, m: int) -> tuple[float, float]:
-        x = stream.standard_normal((m, a.shape[0]))
-        np.abs(x, out=x)
         vals = np.empty(m)
         for lo in range(0, m, INTERACTION_CHUNK_ROWS):
-            vals[lo : lo + INTERACTION_CHUNK_ROWS] = interaction_values(
-                a, x[lo : lo + INTERACTION_CHUNK_ROWS]
-            )
+            x = stream.standard_normal((min(INTERACTION_CHUNK_ROWS, m - lo), a.shape[0]))
+            np.abs(x, out=x)
+            vals[lo : lo + INTERACTION_CHUNK_ROWS] = interaction_values(a, x)
         return float(vals.sum()), float((vals * vals).sum())
 
     total = 0.0

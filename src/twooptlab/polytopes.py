@@ -13,8 +13,9 @@ plain rejection sampling by ``hit_rate``, the one hit-or-miss screen over
 linear rows (``orthants.orthant_prob_mc`` calls it too), which tests the rows
 in blocks of doubling width against the points that survived the earlier
 blocks, drawing each coordinate only when the first block that reads it comes
-up and only for those survivors; and a telescoped product of conditional
-acceptance rates.
+up and only for those survivors, one row chunk of ``rng.MC_CHUNK_COORDINATES``
+coordinates at a time; and a telescoped product of conditional acceptance
+rates.
 The telescoping estimator adds one row per phase and samples each phase with
 many hit-and-run chains advanced in lock-step as one (chains, dim) array.
 Each phase's chains start at the previous phase's accepted samples, which
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import move_quadruples, pair_count, pair_index
-from .rng import run_batches, split_budget, substream
+from .rng import MC_CHUNK_COORDINATES, run_batches, split_budget, substream
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +84,17 @@ def hit_rate(
     Coordinates come from the ``Generator`` method named ``draw``, in the
     batches of ``rng.run_batches(seed, tag, ...)``.  The rows are tested in
     blocks of doubling width (4, 8, 16, ...), each against only the points
-    that passed every earlier block.  Each batch draws, in block order, one
-    (survivors, new columns) array per block that reads new columns, those
-    in increasing order, and stops at the first block that leaves none;
-    columns no row reads are never drawn, so a system without rows has rate
-    1.  A counted point still has i.i.d. coordinates in every column a row
-    reads and passes every row: the count is binomial.
+    that passed every earlier block.  Each batch draws, in block order, the
+    survivors' values of each block's new columns, those in increasing
+    order, and stops at the first block that leaves none; columns no row
+    reads are never drawn, so a system without rows has rate 1.  A block
+    walks its survivors in chunks of max(1, ``MC_CHUNK_COORDINATES`` //
+    width) rows, ``width`` its columns so far: it draws one chunk's new
+    columns, tests the chunk and keeps its passing rows before the next.
+    The draws fill the stream in the order of one (survivors, new columns)
+    array per block, so the count is that of whole-block draws.  A counted
+    point still has i.i.d. coordinates in every column a row reads and
+    passes every row: the count is binomial.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -109,11 +115,17 @@ def hit_rate(
     def batch(stream, m: int) -> int:
         x = np.empty((m, 0))
         for a, b, width in blocks:
-            if width > x.shape[1]:
-                new = getattr(stream, draw)((len(x), width - x.shape[1]))
-                x = np.hstack([x, new]) if x.shape[1] else new
-            # (rows, points) so that the all() runs down the long axis.
-            x = x[np.all(a @ x.T <= b, axis=0)]
+            new = width - x.shape[1]
+            step = max(1, MC_CHUNK_COORDINATES // width)
+            kept = []
+            for lo in range(0, len(x), step):
+                chunk = x[lo : lo + step]
+                if new:
+                    fresh = getattr(stream, draw)((len(chunk), new))
+                    chunk = np.hstack([chunk, fresh]) if chunk.shape[1] else fresh
+                # (rows, points) so that the all() runs down the long axis.
+                kept.append(chunk[np.all(a @ chunk.T <= b, axis=0)])
+            x = np.concatenate(kept)
             if not len(x):
                 break  # no survivors: the later blocks would draw (0, k) arrays
         return len(x)

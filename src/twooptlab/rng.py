@@ -8,7 +8,10 @@ draw get no stream at all.
 
 Batch sizes are decided here, not by the samplers: a sampler states its row
 width (coordinates per draw) and draws ``batch_rows(width)`` rows at a time,
-at most ``MC_BATCH_ROWS`` rows and ``MC_BATCH_COORDINATES`` coordinates.
+at most ``MC_BATCH_ROWS`` rows and ``MC_BATCH_COORDINATES`` coordinates.  A
+batch is consumed in row chunks: ``polytopes.hit_rate`` draws and screens at
+most ``MC_CHUNK_COORDINATES`` coordinates at a time, in the stream order of
+whole-batch draws, so chunking changes no result.
 
 From ``POOL_MIN_SAMPLES`` samples up, ``run_batches`` runs the workers'
 shares on threads, one share at a time per thread, with OpenBLAS held to one
@@ -35,6 +38,13 @@ MC_BATCH_ROWS = 100_000  # draws per numpy batch at most
 # Coordinates per batch at most: 200,000 draws of the n = 12 polytope's 66
 # coordinates (~106 MB of float64), so wider draws come in fewer rows.
 MC_BATCH_COORDINATES = 13_200_000
+# Coordinates per row chunk at most (1 MB of float64): ``polytopes.hit_rate``
+# draws and screens a batch one chunk at a time, so no thread holds a whole
+# batch of draws.  Rejection volume at n = 8 and 12 (400,000 samples, 1 and
+# 2 workers, lower quartile of 30 calls on a 2-CPU machine): chunks of 2**15
+# to 2**18 coordinates ran at 0.84-1.02x the time of whole-batch draws,
+# fixed 1,024-row chunks at 1.03-1.27x.
+MC_CHUNK_COORDINATES = 2**17
 # Smallest sample budget run on more than one thread.  Below it, handing the
 # shares to pool threads costs about what the second core saves: on a 2-CPU
 # machine, pooled calls took up to 1.13x the serial time at 6,000 samples

@@ -6,6 +6,24 @@ import pytest
 from twooptlab import rng
 
 
+def chunked_draws(totals):
+    """The draws ``polytopes.hit_rate`` makes for its per-block draw totals.
+
+    ``totals`` lists, in order, one (survivors, new columns) pair per block
+    that drew, as if each block drew its survivors' new columns at once.  A
+    block whose columns so far number ``width`` draws them in chunks of
+    ``max(1, rng.MC_CHUNK_COORDINATES // width)`` rows.  Survivors never grow
+    within a batch, so a total larger than the one before starts a batch.
+    """
+    draws, width, last = [], 0, 0
+    for m, new in totals:
+        width = new if m > last else width + new
+        last = m
+        step = max(1, rng.MC_CHUNK_COORDINATES // width)
+        draws.extend((min(step, m - lo), new) for lo in range(0, m, step))
+    return draws
+
+
 class RecordingStream:
     """Generator stand-in that records the shape of every 2-d array it draws."""
 

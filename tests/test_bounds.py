@@ -18,7 +18,7 @@ from twooptlab import (
     log_product_bound,
 )
 from twooptlab import bounds
-from twooptlab.bounds import interaction_matrix, interaction_values
+from twooptlab.bounds import INTERACTION_CHUNK_ROWS, interaction_matrix, interaction_values
 from twooptlab.chords import ChordDisjointSet
 from twooptlab.polytopes import MCEstimate
 from twooptlab.rng import MC_BATCH_COORDINATES, POOL_MIN_SAMPLES, split_budget, substream
@@ -173,11 +173,15 @@ def test_figure_sweep_rows():
 
 def test_interaction_batches_are_bounded_by_coordinates(draw_shapes):
     # n = 257 has 255 active edges: 100,000-row batches would draw 25.5M
-    # coordinates, so the rows shrink to fit 13.2M.
+    # coordinates, so the rows shrink to fit 13.2M.  Each batch, pinned by
+    # its total, is drawn in chunks of INTERACTION_CHUNK_ROWS rows.
     shapes = draw_shapes(bounds, "run_batches")
     estimate_interaction_factor(build_chord_disjoint_set(257), 60_000, seed=0)
-    assert shapes == [(51_764, 255), (8_236, 255)]
+    pinned = [(51_764, 255), (8_236, 255)]
+    rows = INTERACTION_CHUNK_ROWS
+    assert shapes == [(min(rows, m - lo), d) for m, d in pinned for lo in range(0, m, rows)]
     assert all(m * width <= MC_BATCH_COORDINATES for m, width in shapes)
+    assert all(m * width <= rows * 255 for m, width in shapes)
 
 
 @pytest.mark.parametrize("n, workers", [(17, 1), (65, 2), (257, 3)])
@@ -200,9 +204,10 @@ def test_interaction_equals_one_full_product_per_batch(n, workers):
 
 
 def test_interaction_peak_memory_is_the_draws_plus_one_chunk():
-    # Two workers' 50,000 x 63 half-normal draws, plus a row chunk of the
-    # product and the per-sample values for each.  A full (m, d) product per
-    # batch, with a separate abs() copy of the draw, peaks at ~73 MB.
+    # Each of two workers holds one 1,024 x 63 chunk of half-normal draws,
+    # its product with a, and its share's 50,000 per-sample values: about
+    # 3 MB in all.  Drawing each share whole peaks at ~54 MB, and a full
+    # (m, d) product per batch, with a separate abs() copy, at ~73 MB.
     s = build_chord_disjoint_set(65)
     tracemalloc.start()
     try:
@@ -210,4 +215,4 @@ def test_interaction_peak_memory_is_the_draws_plus_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 50_000 * 63 * 8 + 4_000_000
+    assert peak <= 6_000_000

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import RecordingStream
+from conftest import RecordingStream, chunked_draws
 
 from twooptlab import (
     CovarianceSpec,
@@ -27,7 +27,7 @@ from twooptlab.orthants import (
     equicorrelated_closed_forms,
     equicorrelated_g_sum,
 )
-from twooptlab.rng import MC_BATCH_COORDINATES, MC_BATCH_ROWS, substream
+from twooptlab.rng import MC_BATCH_COORDINATES, MC_BATCH_ROWS, MC_CHUNK_COORDINATES, substream
 
 
 # A precision with no symmetry between coordinates and negative off-diagonals.
@@ -110,11 +110,15 @@ def test_orthant_mc_batches_are_bounded_by_coordinates(draw_shapes):
     # 200,000 rows of d = 256 would draw 51M coordinates at once, so batches
     # hold 51,562 points.  Each draws the 4 columns of the first row block,
     # then each later block's new columns for its survivors only; once none
-    # survive, the batch stops drawing.
+    # survive, the batch stops drawing.  The pins are those per-block totals,
+    # each drawn in row chunks of at most MC_CHUNK_COORDINATES coordinates of
+    # the block's width.
     shapes = draw_shapes(polytopes, "run_batches")
     orthant_prob_mc(identity_spec(256), 60_000, seed=0)
-    assert shapes == [(51_562, 4), (3_309, 8), (14, 16), (8_438, 4), (529, 8), (1, 16)]
+    pinned = [(51_562, 4), (3_309, 8), (14, 16), (8_438, 4), (529, 8), (1, 16)]
+    assert shapes == chunked_draws(pinned)
     assert all(m * width <= MC_BATCH_COORDINATES for m, width in shapes)
+    assert all(m * width <= MC_CHUNK_COORDINATES for m, width in shapes)
 
 
 def test_orthant_mc_draws_few_coordinates_per_sample(draw_shapes):

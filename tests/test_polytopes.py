@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from twooptlab import (
 from twooptlab.orthants import _gibbs_orthant_draws
 from twooptlab import polytopes
 from twooptlab.polytopes import Polytope, _hit_and_run_chains
-from twooptlab.rng import MC_BATCH_COORDINATES, run_batches, substream
+from twooptlab.rng import MC_BATCH_COORDINATES, MC_CHUNK_COORDINATES, run_batches, substream
+
+from conftest import chunked_draws
 
 
 def simplex(dim: int) -> Polytope:
@@ -124,9 +127,10 @@ def lazy_draws_completed(a, b, draw, samples, seed, tag, workers):
 def test_rejection_screening_counts_what_the_full_test_counts(workers):
     # Lazy row-block screening must count exactly the points that pass every
     # row at once, once the columns a rejected point was never drawn are
-    # filled in; n = 5 splits its 5 rows into blocks of 4 and 1.
-    samples, seed = 60_000, 13
-    for n in range(4, 13):
+    # filled in; n = 5 splits its 5 rows into blocks of 4 and 1.  The last
+    # budget spans 100,000-point batches (with one worker) and row chunks.
+    seed = 13
+    for n, samples in [(n, 60_000) for n in range(4, 13)] + [(8, 250_000)]:
         p = build_two_opt_polytope(n)
         expected = sum(
             int(np.all(u @ p.rows.T <= p.rhs, axis=1).sum())
@@ -143,9 +147,10 @@ def test_rejection_screening_counts_what_the_full_test_counts(workers):
 def test_orthant_screening_counts_what_the_full_test_counts(family, workers):
     # The orthant MC screens the rows of -L, L the lower-triangular factor,
     # so row i draws x_i only for the points that passed rows 0..i-1 (in
-    # blocks); on the completed draws it must count z = L x > 0 exactly.
-    samples, seed = 60_000, 14
-    for d in range(5, 13):
+    # blocks); on the completed draws it must count z = L x > 0 exactly.  The
+    # last budget spans 100,000-point batches (with one worker) and row chunks.
+    seed = 14
+    for d, samples in [(d, 60_000) for d in range(5, 13)] + [(8, 250_000)]:
         spec = family(d)
         rows, rhs = -spec.chol_covariance, np.zeros(d)
         expected = sum(
@@ -162,10 +167,13 @@ def test_rejection_batches_are_bounded_by_coordinates(draw_shapes):
     # A batch holds at most 200,000 x 66 coordinates (the n = 12 polytope's
     # width), so n = 40 (780 coordinates per point) never draws a 78M-float
     # batch.  Batches of 100,000 points draw the 13 columns of the first
-    # block, then each later block's new columns for its survivors only.
+    # block, then each later block's new columns for its survivors only; the
+    # pins are those per-block totals, each drawn in row chunks of at most
+    # MC_CHUNK_COORDINATES coordinates of the block's width.
     shapes = draw_shapes(polytopes, "run_batches")
     estimate_volume_rejection(build_two_opt_polytope(40), 100_000, seed=0)
     assert max(m * dim for m, dim in shapes) <= 200_000 * 66 == MC_BATCH_COORDINATES
+    assert max(m * dim for m, dim in shapes) <= MC_CHUNK_COORDINATES
     pins = {
         8: [
             (100_000, 13), (12_643, 11), (711, 4),
@@ -187,7 +195,22 @@ def test_rejection_batches_are_bounded_by_coordinates(draw_shapes):
     for n, pinned in pins.items():
         shapes.clear()
         estimate_volume_rejection(build_two_opt_polytope(n), 500_000, seed=0, workers=2)
-        assert shapes == pinned, n
+        assert shapes == chunked_draws(pinned), n
+        assert max(m * dim for m, dim in shapes) <= MC_CHUNK_COORDINATES, n
+
+
+def test_rejection_peak_memory_is_one_chunk_of_draws():
+    # Each block walks its survivors in row chunks of 2**17 coordinates
+    # (1 MB), so the first block's 100,000 x 13 uniforms (10.4 MB) are never
+    # held at once; drawing each block whole peaks at ~14 MB.
+    p = build_two_opt_polytope(12)
+    tracemalloc.start()
+    try:
+        estimate_volume_rejection(p, 200_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000_000
 
 
 def test_rejection_draws_few_coordinates_per_sample(draw_shapes):
