@@ -18,7 +18,10 @@ proposal is i.i.d. half-normals with precision lam I, lam the smallest
 eigenvalue of the precision P, accepted with probability
 exp(-x'(P - lam I)x / 2).  Beyond dimension 8, or when that acceptance
 collapses, isqrt(samples) lock-step coordinate-update Gibbs chains make
-every draw.  Each call draws from one stream, whatever the worker count.
+every draw.  The chains run in unit conditional scale, y_i = x_i sqrt(P_ii),
+so every conditional is a unit-variance normal truncated at 0; a coordinate
+that rounds below 1e-12 (in y units) or to NaN is set to 1e-12.  Each call
+draws from one stream, whatever the worker count.
 Rejection draws in batches of at most ``rng.batch_rows(d)`` rows.  The
 orthant probability itself is one call to ``polytopes.hit_rate``, the
 hit-or-miss screen behind the polytope volume.
@@ -180,30 +183,49 @@ def _gibbs_orthant_draws(spec: CovarianceSpec, count: int, rng,
     ``math.isqrt(count)`` chains start at the all-ones point and advance as
     one (chains, d) array, coordinate i on every chain at once; each runs
     ``burn_in`` sweeps, then keeps its point every ``thin`` sweeps.  Draw k
-    is chain k mod chains at its (k // chains)-th kept sweep.  With t the
-    standardised conditional mean, z = -ndtri_exp(log_ndtr(t) + log(1 - u))
-    keeps full precision where ndtr(t), the mass above 0, is tiny and where
-    it rounds to 1 (t above about 8.3, where 1 - ndtr(t) is 0).
+    is chain k mod chains at its (k // chains)-th kept sweep.
+
+    The chains run in unit conditional scale, y_i = x_i sqrt(P_ii), where
+    every conditional has standard deviation 1 and mean y @ coupling[i],
+    coupling = -P_ij / sqrt(P_ii P_jj) with a zero diagonal; the draws are
+    scaled back by 1 / sqrt(P_ii) on return.  With mu the conditional mean,
+    y_i = mu - ndtri_exp(log_ndtr(mu) + log(1 - u)) keeps full precision
+    where ndtr(mu), the mass above 0, is tiny and where it rounds to 1 (mu
+    above about 8.3, where 1 - ndtr(mu) is 0).  A y_i below 1e-12 (in y
+    units), or NaN, is set to 1e-12, a guard against rounding at the
+    boundary.  Each update writes through ``out=`` into buffers allocated
+    once, so a coordinate costs six ufunc calls on (chains,) arrays and
+    allocates nothing.  On a unit precision diagonal every rescaling is
+    exact, so the draws are those of the same chain run in x, bit for bit.
     """
     from scipy.special import log_ndtr, ndtri_exp  # the only scipy use; kept off the import path
 
-    diag = np.diag(spec.precision)
-    cond_sd = 1.0 / np.sqrt(diag)
-    coupling = -spec.precision / diag[:, None]  # conditional mean of x_i is x @ coupling[i]
+    root_diag = np.sqrt(np.diag(spec.precision))
+    coupling = -spec.precision / np.outer(root_diag, root_diag)
     np.fill_diagonal(coupling, 0.0)
     chains = math.isqrt(count)
     kept = -(-count // chains)
-    x = np.ones((chains, spec.d))
+    y = np.tile(root_diag, (chains, 1))  # the all-ones point in x
     out = np.empty((kept, chains, spec.d))
+    mu = np.empty(chains)
+    z = np.empty(chains)
+    log_tail = np.empty((spec.d, chains))
+    # Views made once: slicing a column per update costs as much as a ufunc call.
+    updates = list(zip((y[:, i] for i in range(spec.d)), coupling, log_tail))
     for sweep in range(burn_in + kept * thin):
-        log_tail = np.log1p(-rng.random((spec.d, chains)))  # log(1 - u), once per sweep
-        for i in range(spec.d):
-            mu = x @ coupling[i]
-            v = mu - cond_sd[i] * ndtri_exp(log_ndtr(mu / cond_sd[i]) + log_tail[i])
-            x[:, i] = np.where(v > 0.0, v, 1e-12)  # guard against rounding at the boundary
+        rng.random((spec.d, chains), out=log_tail)
+        np.negative(log_tail, out=log_tail)
+        np.log1p(log_tail, out=log_tail)  # log(1 - u), once per sweep
+        for column, row, tail in updates:
+            np.matmul(y, row, out=mu)
+            log_ndtr(mu, out=z)
+            z += tail
+            ndtri_exp(z, out=z)
+            np.subtract(mu, z, out=z)
+            np.fmax(z, 1e-12, out=column)
         if sweep >= burn_in and (sweep + 1 - burn_in) % thin == 0:
-            out[(sweep - burn_in) // thin] = x
-    return out.reshape(-1, spec.d)[:count]
+            out[(sweep - burn_in) // thin] = y
+    return out.reshape(-1, spec.d)[:count] / root_diag
 
 
 def truncated_moments_mc(

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import log_ndtr, ndtri_exp
 
 from conftest import RecordingStream, chunked_draws
 
@@ -281,6 +284,54 @@ def test_unknown_sampler_is_refused(sampler):
         truncated_moments_mc(identity_spec(3), 20, 0, sampler=sampler)
 
 
+def reference_gibbs_draws(precision, count, rng, burn_in, thin):
+    """The coordinate-update chains run in x itself, one update at a time."""
+    diag = np.diag(precision)
+    cond_sd = 1.0 / np.sqrt(diag)
+    coupling = -precision / diag[:, None]
+    np.fill_diagonal(coupling, 0.0)
+    chains = math.isqrt(count)
+    kept = -(-count // chains)
+    x = np.ones((chains, len(diag)))
+    out = np.empty((kept, chains, len(diag)))
+    for sweep in range(burn_in + kept * thin):
+        log_tail = np.log1p(-rng.random((len(diag), chains)))
+        for i in range(len(diag)):
+            mu = x @ coupling[i]
+            v = mu - cond_sd[i] * ndtri_exp(log_ndtr(mu / cond_sd[i]) + log_tail[i])
+            x[:, i] = np.where(v > 0.0, v, 1e-12)
+        if sweep >= burn_in and (sweep + 1 - burn_in) % thin == 0:
+            out[(sweep - burn_in) // thin] = x
+    return out.reshape(-1, len(diag))[:count]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31),
+       st.integers(min_value=2, max_value=40))
+def test_gibbs_matches_the_reference_chain_on_any_diagonal(d, seed, count):
+    # Random SPD precisions with non-unit diagonals: the unit-scale chain and
+    # the chain run in x see the same uniforms and differ only by rounding.
+    shape = substream(seed, "property-precision")
+    a = shape.standard_normal((d, d))
+    scale = np.diag(shape.uniform(0.5, 2.0, d))
+    precision = scale @ (a @ a.T + d * np.eye(d)) @ scale
+    spec = CovarianceSpec.from_precision(precision)
+    draws = _gibbs_orthant_draws(spec, count, substream(seed, "property-chain"), burn_in=20, thin=2)
+    expected = reference_gibbs_draws(spec.precision, count, substream(seed, "property-chain"), 20, 2)
+    np.testing.assert_allclose(draws, expected, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [equicorrelated_spec(d) for d in range(2, 13)] + [identity_spec(d) for d in (1, 5, 16)],
+    ids=[f"equicorrelated-{d}" for d in range(2, 13)] + [f"identity-{d}" for d in (1, 5, 16)],
+)
+def test_gibbs_on_a_unit_diagonal_is_the_reference_chain_bit_for_bit(spec):
+    draws = _gibbs_orthant_draws(spec, 40, substream(spec.d, "unit-diagonal"), burn_in=30, thin=3)
+    expected = reference_gibbs_draws(spec.precision, 40, substream(spec.d, "unit-diagonal"), 30, 3)
+    assert draws.tobytes() == expected.tobytes()
+
+
 def test_gibbs_draws_are_pinned():
     # Pins the chain's random stream and arithmetic: the bytes of 50 draws.
     draws = _gibbs_orthant_draws(equicorrelated_spec(12), 50, substream(7, "pin"))
@@ -325,7 +376,7 @@ def test_gibbs_moments_with_one_worker_are_pinned():
     spec = CovarianceSpec.from_precision(np.eye(8) + 10 * np.ones((8, 8)))
     collapsed = truncated_moments_mc(spec, 200, seed=27, sampler="rejection")
     assert collapsed.sampler == "gibbs"
-    assert digest(collapsed) == "c515dae26aee584746e651f5e157d8f5001df21946ff0ea792175c5d506375d3"
+    assert digest(collapsed) == "5b1aa4c78e45c31b27ecd9a01b3177a41e5e2f224b28708c2304df1ce7be83b9"
 
 
 def test_gibbs_selected_beyond_rejection_cap():
