@@ -7,8 +7,11 @@ rounding can still make a move and its reverse both look improving, and
 ``transition_stats`` refuses such a cycle.  Both exhaustive scans, oracles
 for the estimators, share one search and one array kernel, ``_delta``: the
 census prunes a breadth-first search over partial tours, and the graph runs it
-on equal weights, where every canonical order survives, then applies each move
-to all of them at once and keeps its arcs as one (m, 2) array.
+on equal weights, where every canonical order survives.  That node list, and
+the table of the node each move sends each node to, depend on n alone, so the
+graph builds them once for the last n it saw; each instance then scores every
+move on all nodes at once, looks its improving moves up in the table and keeps
+its arcs as one (m, 2) array.
 
 The census counts once per orbit of the instance's twin classes.  Vertices u
 and v are twins when w(u, x) = w(v, x) for every other vertex x, as the
@@ -30,6 +33,7 @@ o[1] > o[n-1] stand for none, and the search keeps the canonical rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -237,29 +241,55 @@ class TransitionGraph:
         return np.setdiff1d(np.arange(len(self.orders)), self.arcs[:, 0])
 
 
-def build_transition_graph(inst: Instance) -> TransitionGraph:
-    """Full node and improving-arc sets; refuses n beyond ``ALL_TOURS_CAP``."""
-    n = inst.n
+@functools.lru_cache(maxsize=1)
+def _move_targets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, T) orders of every canonical tour and (moves, T) int32 move targets.
+
+    Depends on n alone, so graphs built one after another at the same n share
+    it.  Column k of the orders is node k, in increasing order; ``table[m, u]``
+    is the node that move m of ``move_quadruples(n)`` sends node u to.
+    """
     # Under equal weights the search tests no 2-change and keeps every canonical order.
     blocks = _two_optimal_orders(constant_instance(n), ALL_TOURS_CAP)
     orders = np.concatenate(list(blocks), axis=1).astype(np.int64)
-    # Base-n int64 keys, increasing over the nodes; n**n = 10**10 at n = 10 is far below 2**63.
-    radix = n ** np.arange(n - 1, -1, -1)
-    keys = radix @ orders
-    w = _weight_table(inst)
-    scaled = orders * n
-    sources, targets = [], []
-    for a, b, c, d in move_quadruples(n):
-        improving = np.flatnonzero(_delta(w, orders, scaled, (a, b, c, d)) > 0)
-        target = orders[:, improving]
+    count = orders.shape[1]
+    # Position 0 holds vertex 0 and position n-1 the vertex left over, so base n-1 keys
+    # of positions 1..n-2 (digits o - 1) tell the orders apart and index a dense node
+    # lookup.  Every target is canonical, so it reads only entries set here.
+    radix = np.zeros(n, dtype=np.int64)
+    radix[1 : n - 1] = (n - 1) ** np.arange(n - 3, -1, -1)
+    offset = radix.sum()
+    lookup = np.empty((n - 1) ** (n - 2), dtype=np.int32)
+    lookup[radix @ orders - offset] = np.arange(count)
+    moves = move_quadruples(n)
+    table = np.empty((len(moves), count), dtype=np.int32)
+    for m, (a, b, c, d) in enumerate(moves):
+        target = orders.copy()
         target[b : c + 1] = target[b : c + 1][::-1]
         flip = target[1] > target[n - 1]
         target[1:, flip] = target[1:, flip][::-1]
-        sources.append(improving)
-        targets.append(np.searchsorted(keys, radix @ target))
+        table[m] = lookup[radix @ target - offset]
+    orders.flags.writeable = False
+    table.flags.writeable = False
+    return orders, table
+
+
+def build_transition_graph(inst: Instance) -> TransitionGraph:
+    """Full node and improving-arc sets; refuses n beyond ``ALL_TOURS_CAP``.
+
+    The returned ``orders`` is a read-only view shared by every graph built at this n.
+    """
+    n = inst.n
+    orders, table = _move_targets(n)
+    w = _weight_table(inst)
+    scaled = orders * n
+    count = orders.shape[1]
     # Every target is below the node count T, so sorting src * T + dst sorts the arcs by (src, dst).
-    count = len(keys)
-    src, dst = np.divmod(np.sort(np.concatenate(sources) * count + np.concatenate(targets)), count)
+    codes = []
+    for m, move in enumerate(move_quadruples(n)):
+        improving = np.flatnonzero(_delta(w, orders, scaled, move) > 0)
+        codes.append(improving * count + table[m, improving])
+    src, dst = np.divmod(np.sort(np.concatenate(codes)), count)
     return TransitionGraph(n=n, orders=orders.T, arcs=np.stack([src, dst], axis=1))
 
 

@@ -315,6 +315,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.workers < 1:  # every subcommand records it in the manifest
+            raise ValueError("--workers must be >= 1")
         payload, failure = args.func(args)
         if payload is not None:
             _write(_json({"manifest": _manifest(args), **payload}), args.out)

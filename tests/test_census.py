@@ -297,19 +297,62 @@ def _reference_arcs(inst):
     )
 
 
-@pytest.mark.parametrize("weights", ["float", "tied", "2^61", "2^63", "2^80"])
+@pytest.fixture
+def cold_move_targets():
+    """Start and end with no per-n node list or move table kept, so the test builds its own."""
+    census._move_targets.cache_clear()
+    yield
+    census._move_targets.cache_clear()
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-def test_graph_arcs_equal_the_scalar_move_scan(n, weights):
+def test_move_table_sends_each_node_where_the_scalar_move_does(n, cold_move_targets):
+    # Every (move, node) entry, not only the improving ones an instance looks up.
+    orders, table = census._move_targets(n)
+    nodes = [Tour(tuple(order)) for order in orders.T.tolist()]
+    index = {tour.order: k for k, tour in enumerate(nodes)}
+    for move, row in zip(enumerate_two_changes(n), table.tolist(), strict=True):
+        assert row == [index[apply_two_change(tour, move).order] for tour in nodes]
+
+
+def _weighted_instance(n, weights):
     if weights == "float":
-        inst = random_instance(n, seed=8)
-    elif weights == "tied":
+        return random_instance(n, seed=8)
+    if weights == "tied":
         tied = substream(n, "tied-arcs").integers(0, 3, pair_count(n))
-        inst = Instance(n=n, weights=tuple(int(w) for w in tied), mode="exact")
-    else:
-        inst = _near_limit_instance(n, 2 ** int(weights[2:]))
+        return Instance(n=n, weights=tuple(int(w) for w in tied), mode="exact")
+    return _near_limit_instance(n, 2 ** int(weights[2:]))
+
+
+def _assert_graph_matches_the_scalar_scan(inst):
     graph = build_transition_graph(inst)
     assert list(map(tuple, graph.arcs.tolist())) == _reference_arcs(inst)
     assert [_node(graph, k) for k in graph.sinks()] == list(two_optimal_tours(inst))
+    return graph
+
+
+@pytest.mark.parametrize("weights", ["float", "tied", "2^61", "2^63", "2^80"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_graph_arcs_equal_the_scalar_move_scan(n, weights):
+    _assert_graph_matches_the_scalar_scan(_weighted_instance(n, weights))
+
+
+def test_graphs_built_in_turn_reuse_the_table_of_their_n(cold_move_targets):
+    # Each size change evicts the one kept table; the second and third weight kinds reuse it.
+    sizes = (6, 7, 6, 8, 7)
+    for n in sizes:
+        for weights in ("float", "tied", "2^63"):
+            _assert_graph_matches_the_scalar_scan(_weighted_instance(n, weights))
+    info = census._move_targets.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(sizes), 2 * len(sizes), 1)
+
+
+def test_graph_orders_are_shared_and_read_only():
+    first = build_transition_graph(_weighted_instance(7, "float"))
+    with pytest.raises(ValueError):
+        first.orders[0, 0] = 1
+    second = _assert_graph_matches_the_scalar_scan(_weighted_instance(7, "tied"))
+    assert np.shares_memory(first.orders, second.orders)
 
 
 def test_graph_arcs_strictly_decrease_length():
@@ -327,7 +370,7 @@ def test_graph_orders_are_the_canonical_tours(n):
     assert graph.orders.tolist() == [list(t.order) for t in enumerate_canonical_tours(n, cap=9)]
 
 
-def test_graph_nodes_come_from_the_census_search(monkeypatch):
+def test_graph_nodes_come_from_the_census_search(monkeypatch, cold_move_targets):
     def refuse(*args, **kwargs):
         raise AssertionError("the itertools enumerator is the oracle only")
 
@@ -340,6 +383,11 @@ def test_graph_nodes_come_from_the_census_search(monkeypatch):
 
 
 def test_graph_cap_refusal():
+    # The refusal is raised on every call: a failed table build is not kept.
+    for _ in range(2):
+        with pytest.raises(CapExceededError):
+            build_transition_graph(random_instance(10, seed=0))
+    build_transition_graph(random_instance(9, seed=0))
     with pytest.raises(CapExceededError):
         build_transition_graph(random_instance(10, seed=0))
 

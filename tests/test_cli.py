@@ -367,6 +367,38 @@ def test_bad_inputs_emit_error(argv, reason, capsys):
     assert reason in payload["reason"]
 
 
+ZERO_WORKER_ARGVS = {
+    "gen": ["gen", "--n", "6"],
+    "census": ["census", "--n", "6"],
+    "tgraph": ["tgraph", "--n", "6", "--walks", "10"],
+    "reduce": ["reduce", "--graph", "p3.edges"],
+    "construct-s": ["construct-s", "--n", "9"],
+    "estimate-vol": ["estimate-vol", "--n", "5", "--method", "telescoping", "--samples-per-phase", "100"],
+    "estimate-g": ["estimate-g", "--n", "17", "--samples", "1000"],
+    "bounds": ["bounds", "--n", "9", "--samples", "1000"],
+    "slope": ["slope", "--ns", "17", "33", "--samples", "1000"],
+    "orthant": ["orthant", "--d", "3", "--samples", "1000", "--moment-samples", "100"],
+    "figure": ["figure", "--n-min", "5", "--n-max", "6", "--samples", "1000"],
+}
+
+
+def test_zero_worker_cases_cover_every_subcommand():
+    commands = re.search(r"\{(.*?)\}", build_parser().format_usage()).group(1).split(",")
+    assert sorted(ZERO_WORKER_ARGVS) == sorted(commands)
+
+
+@pytest.mark.parametrize("argv", ZERO_WORKER_ARGVS.values(), ids=ZERO_WORKER_ARGVS.keys())
+def test_zero_workers_is_refused_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p3.edges").write_text("0 1\n1 2\n")
+    code, out = run_cli([*argv, "--workers", "0", "--out", "out"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert "workers must be >= 1" in payload["reason"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["bounds", "--n", "9"], ["slope", "--ns", "9", "17"]])
 def test_interaction_underflow_emits_named_error(argv, monkeypatch, capsys):
     # `bounds --n 4097` underflows the interaction estimate to 0.0, which
