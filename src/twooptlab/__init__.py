@@ -70,19 +70,14 @@ from .polytopes import (
 from .reduction import (
     BaseGraph,
     RecoveryResult,
-    ReductionParams,
     build_reduction_instance,
     census_vector,
     count_path_covers_bruteforce,
     cover_coefficient,
-    coefficient_matrix,
-    coefficient_matrix_determinant,
     corrected_cover_coefficient,
-    default_params,
     hamiltonian_path_count,
     recover_corrected_counts,
     recover_path_cover_counts,
     reduction_report,
-    tours_per_cover_empirical,
     verify_no_nonedge_characterization,
 )

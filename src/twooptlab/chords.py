@@ -91,16 +91,11 @@ def verify_chord_disjoint(s: ChordDisjointSet) -> bool:
 class ParticipationSpectrum:
     values: tuple[int, ...]  # sorted multiset of the k_e
     product_positive: int
-    log_product_positive: float
 
 
 def participation_spectrum(s: ChordDisjointSet) -> ParticipationSpectrum:
-    positive = s.positive_counts()
-    product = math.prod(positive)
     return ParticipationSpectrum(
-        values=tuple(sorted(s.k_by_edge)),
-        product_positive=product,
-        log_product_positive=sum(math.log(k) for k in positive),
+        values=tuple(sorted(s.k_by_edge)), product_positive=math.prod(s.positive_counts())
     )
 
 

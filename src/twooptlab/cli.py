@@ -92,7 +92,7 @@ def _csv(args: argparse.Namespace, header: list[str], rows: list[list]) -> str:
 
 
 def _load_instance(args: argparse.Namespace) -> Instance:
-    if args.instance:
+    if args.instance is not None:
         data = json.loads(Path(args.instance).read_text())
         if isinstance(data, dict) and "instance" in data:
             data = data["instance"]  # a `gen` artifact nests it next to the manifest

@@ -2,12 +2,23 @@
 
 A base graph G on nV vertices is embedded into a complete exact-weight
 instance on nV+m vertices by adding m auxiliary vertices: original edges get
-weight 0, missing pairs inside V get the large penalty M, pairs inside the
-auxiliary set get N, and crossing pairs get L with N = 2L.  With M large
-enough, a tour is 2-optimal exactly when it uses no penalty edge, and its
-maximal runs of original vertices form a path cover of G.  Counting
-2-optimal tours for m = nV+1 .. 2nV therefore pins down the number of path
-covers of each size via an exact linear solve.
+weight 0, missing pairs inside V get the penalty M, pairs inside the
+auxiliary set get N, and crossing pairs get L, fixed at L = 1, N = 2 and
+M = 2(nV + m) + 1.  Two conditions make these weights work:
+
+* N = 2L.  The m auxiliary vertices have degree 2m = c + 2a in a tour with
+  c crossing edges and a auxiliary pairs, so every tour without a penalty
+  edge has the same length L c + N a = N m, and none improves on another.
+* M > (nV + m) N.  One penalty edge outweighs all other edges of a tour
+  together; the paper uses this to show that a tour with a penalty edge
+  has an improving 2-change.
+
+So a tour is 2-optimal exactly when it uses no penalty edge
+(``verify_no_nonedge_characterization`` checks this exhaustively), and its
+maximal runs of original vertices form a path cover of G.  Ties are exact,
+so any weights meeting both conditions give the same 2-optimal set.
+Counting 2-optimal tours for m = nV+1 .. 2nV therefore pins down the number
+of path covers of each size via an exact linear solve.
 
 Two per-cover counting models are exposed side by side:
 
@@ -39,7 +50,7 @@ from .core import (
     enumerate_canonical_tours,
 )
 from .errors import CapExceededError, SingularMatrixError
-from .rational import determinant_exact, solve_exact
+from .rational import solve_exact
 
 COVER_CAP = 10  # base-graph vertices for path-cover enumeration
 
@@ -91,41 +102,23 @@ class BaseGraph:
         return {v: sorted(ws) for v, ws in adj.items()}
 
 
-@dataclass(frozen=True)
-class ReductionParams:
-    """Auxiliary-vertex count and the three exact construction weights."""
+def build_reduction_instance(g: BaseGraph, m: int) -> Instance:
+    """Exact complete instance on nv+m vertices; auxiliaries take the top labels.
 
-    m: int
-    L: int
-    N: int
-    M: int
-
-    def validate_for(self, nv: int) -> None:
-        if not (nv + 1 <= self.m <= 2 * nv):
-            raise ValueError(f"need nv+1 <= m <= 2*nv, got m={self.m} for nv={nv}")
-        if self.N != 2 * self.L or self.L <= 0:
-            raise ValueError("need N = 2L with L > 0")
-        if self.M <= (nv + self.m) * self.N:
-            raise ValueError("need M > (nv + m) * N so no improving move adds a penalty edge")
-
-
-def default_params(nv: int, m: int) -> ReductionParams:
-    # Smallest weights satisfying the invariants; ties are exact, so any
-    # valid choice yields the same 2-optimal set.
-    return ReductionParams(m=m, L=1, N=2, M=(nv + m) * 2 + 1)
-
-
-def build_reduction_instance(g: BaseGraph, params: ReductionParams) -> Instance:
-    """Exact complete instance on nv+m vertices; auxiliaries take the top labels."""
-    params.validate_for(g.nv)
-    n = g.nv + params.m
+    The weights are L = 1, N = 2 and M = 2(nv + m) + 1, the smallest meeting
+    N = 2L and M > (nv + m) N (see the module docstring).
+    """
+    if not (g.nv + 1 <= m <= 2 * g.nv):
+        raise ValueError(f"need nv+1 <= m <= 2*nv, got m={m} for nv={g.nv}")
+    n = g.nv + m
+    big_m = 2 * n + 1
     weights = tuple(
-        (0 if (i, j) in g.edges else params.M) if j < g.nv
-        else params.L if i < g.nv
-        else params.N
+        (0 if (i, j) in g.edges else big_m) if j < g.nv
+        else 1 if i < g.nv
+        else 2
         for i, j in all_pairs(n)
     )
-    label = f"reduction(nv={g.nv},m={params.m},L={params.L},N={params.N},M={params.M})"
+    label = f"reduction(nv={g.nv},m={m},L=1,N=2,M={big_m})"
     return Instance(n=n, weights=weights, mode="exact", label=label)
 
 
@@ -138,9 +131,9 @@ def _contains_non_edge(order: tuple[int, ...], g: BaseGraph) -> bool:
     return False
 
 
-def verify_no_nonedge_characterization(g: BaseGraph, params: ReductionParams) -> bool:
+def verify_no_nonedge_characterization(g: BaseGraph, m: int) -> bool:
     """Exhaustively check: 2-optimal tours == tours avoiding penalty edges."""
-    inst = build_reduction_instance(g, params)
+    inst = build_reduction_instance(g, m)
     # Both sides come out in lexicographic order, so list equality is set equality.
     tours = enumerate_canonical_tours(inst.n, cap=ALL_TOURS_CAP)
     avoiding = [t for t in tours if not _contains_non_edge(t.order, g)]
@@ -189,19 +182,14 @@ def tour_segments(order: tuple[int, ...], nv: int) -> frozenset[tuple[int, ...]]
     return canonical_cover(runs)
 
 
-def cover_census(g: BaseGraph, params: ReductionParams) -> dict:
+def cover_census(g: BaseGraph, m: int) -> dict:
     """2-optimal tour counts keyed by the path cover each tour restricts to."""
-    inst = build_reduction_instance(g, params)
+    inst = build_reduction_instance(g, m)
     counts: dict[frozenset, int] = {}
     for tour in two_optimal_tours(inst, cap=ALL_TOURS_CAP):
         cover = tour_segments(tour.order, g.nv)
         counts[cover] = counts.get(cover, 0) + 1
     return counts
-
-
-def tours_per_cover_empirical(g: BaseGraph, params: ReductionParams, cover) -> int:
-    """Exact number of 2-optimal tours restricting to the given cover."""
-    return cover_census(g, params).get(canonical_cover(cover), 0)
 
 
 def _arms(v: int, allowed: frozenset[int], adj: dict[int, list[int]]):
@@ -260,20 +248,6 @@ def count_path_covers_bruteforce(g: BaseGraph) -> list[int]:
     for cover in enumerate_path_covers(g):
         counts[len(cover) - 1] += 1
     return counts
-
-
-def coefficient_matrix(nv: int) -> list[list[int]]:
-    """C with C[l][m-index] = paper coefficient at cover size l, m = nv+1..2nv."""
-    if nv < 1:
-        raise ValueError("nv must be >= 1")
-    return [
-        [cover_coefficient(size, nv + col + 1) for col in range(nv)]
-        for size in range(1, nv + 1)
-    ]
-
-
-def coefficient_matrix_determinant(nv: int) -> int:
-    return determinant_exact(coefficient_matrix(nv))
 
 
 @dataclass(frozen=True)
@@ -362,8 +336,7 @@ def census_vector(g: BaseGraph, cap: int = ENUMERATION_CAP) -> list[int]:
     check_enumeration_cap(3 * g.nv, cap)  # the m = 2nv instance; refuse before any census
     b = []
     for m in range(g.nv + 1, 2 * g.nv + 1):
-        inst = build_reduction_instance(g, default_params(g.nv, m))
-        b.append(count_two_optimal_exact(inst, cap=cap))
+        b.append(count_two_optimal_exact(build_reduction_instance(g, m), cap=cap))
     return b
 
 

@@ -12,7 +12,7 @@ import pytest
 import twooptlab as tl
 from twooptlab.orthants import amemiya_residuals, equicorrelated_closed_forms
 from twooptlab.polytopes import Polytope
-from twooptlab.reduction import cover_census, default_params
+from twooptlab.reduction import canonical_cover, cover_census
 from twooptlab.rng import substream
 
 
@@ -56,23 +56,25 @@ def test_no_nonedge_characterization_exhaustive():
             if g.nv + m > 9:
                 continue
             checked += 1
-            if not tl.verify_no_nonedge_characterization(g, default_params(g.nv, m)):
+            if not tl.verify_no_nonedge_characterization(g, m):
                 ok = False
     report("no-nonedge-characterization", ok and checked == 9, f"{checked} (graph, m) pairs")
 
 
 def test_reduction_round_trip():
-    # Nonzero exact determinant for nV <= 8 and exact recovery of 100 random
+    # Full-rank paper recovery for nV <= 8 and exact recovery of 100 random
     # integer vectors per size.
     ok = True
     rng = substream(2028, "acceptance-roundtrip")
     for nv in range(1, 9):
-        if tl.coefficient_matrix_determinant(nv) == 0:
+        if not tl.recover_path_cover_counts([0] * nv, nv).full_rank:
             ok = False
-        c = tl.coefficient_matrix(nv)
         for _ in range(100):
             a = [int(rng.integers(0, 1000)) for _ in range(nv)]
-            b = [sum(c[row][col] * a[row] for row in range(nv)) for col in range(nv)]
+            b = [
+                sum(tl.cover_coefficient(size, m) * a[size - 1] for size in range(1, nv + 1))
+                for m in range(nv + 1, 2 * nv + 1)
+            ]
             result = tl.recover_path_cover_counts(b, nv)
             if [int(x) for x in result.a] != a or not result.integral:
                 ok = False
@@ -93,7 +95,7 @@ def test_reduction_end_to_end():
         # Per-cover counts match the paper coefficient on covers whose paths
         # all have >= 2 vertices (here: the Hamiltonian-path covers).
         for m in (4, 5, 6):
-            census = cover_census(g, default_params(g.nv, m))
+            census = cover_census(g, m)
             for cover, observed in census.items():
                 if all(len(path) >= 2 for path in cover):
                     if observed != tl.cover_coefficient(len(cover), m):
@@ -101,7 +103,7 @@ def test_reduction_end_to_end():
     # Documented paper-model counterexample: the all-singleton cover of the
     # one-edge base graph at m=3 yields 6 tours, not the coefficient 24.
     k2 = tl.BaseGraph.from_edges(2, [(0, 1)])
-    observed = tl.tours_per_cover_empirical(k2, default_params(2, 3), [(0,), (1,)])
+    observed = cover_census(k2, 3)[canonical_cover([(0,), (1,)])]
     if observed != 6 or tl.cover_coefficient(2, 3) != 24:
         ok = False
     report("reduction-end-to-end", ok, "P3, K3 at m in {4,5,6}; counterexample 6 != 24")

@@ -28,7 +28,7 @@ from twooptlab import (
 from twooptlab import census, core
 from twooptlab.census import TransitionGraph
 from twooptlab.core import Instance, all_pairs, pair_count, pair_index
-from twooptlab.reduction import BaseGraph, build_reduction_instance, default_params
+from twooptlab.reduction import BaseGraph, build_reduction_instance
 from twooptlab.rng import substream
 
 # Two-sided level of the statistical checks, and its normal quantile (about 4.9).
@@ -181,7 +181,7 @@ def test_census_memory_is_bounded_by_the_chunk():
 
 def test_count_equals_tours_across_many_chunks():
     k3 = BaseGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    inst = build_reduction_instance(k3, default_params(3, 6))
+    inst = build_reduction_instance(k3, 6)
     tours = list(two_optimal_tours(inst))
     assert len(tours) == 20_160 > census._CHUNK_ORDERS
     assert count_two_optimal_exact(inst) == len(tours)
@@ -197,8 +197,8 @@ _C4 = BaseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 @pytest.mark.parametrize(
     "inst, classes",
     [
-        (build_reduction_instance(_K3, default_params(3, 6)), [[0, 1, 2], [3, 4, 5, 6, 7, 8]]),
-        (build_reduction_instance(_C4, default_params(4, 5)), [[0, 2], [1, 3], [4, 5, 6, 7, 8]]),
+        (build_reduction_instance(_K3, 6), [[0, 1, 2], [3, 4, 5, 6, 7, 8]]),
+        (build_reduction_instance(_C4, 5), [[0, 2], [1, 3], [4, 5, 6, 7, 8]]),
         (random_instance(8, seed=0), [[v] for v in range(8)]),
         (constant_instance(7), [list(range(7))]),
     ],
@@ -211,7 +211,7 @@ def test_twin_classes(inst, classes):
 @pytest.mark.parametrize("graph", [_P3, _K3, _P4, _C4], ids=["P3", "K3", "P4", "C4"])
 def test_quotient_count_equals_the_listed_tours_on_reduction_instances(graph):
     for m in range(graph.nv + 1, min(2 * graph.nv, 10 - graph.nv) + 1):
-        inst = build_reduction_instance(graph, default_params(graph.nv, m))
+        inst = build_reduction_instance(graph, m)
         assert count_two_optimal_exact(inst) == len(list(two_optimal_tours(inst)))
 
 

@@ -54,6 +54,19 @@ def test_census_and_tgraph_without_instance_emit_error(capsys):
         assert "--n" in payload["reason"]
 
 
+def test_empty_instance_path_is_refused_before_any_work(capsys, monkeypatch):
+    # An empty --instance is a path like any other, not a missing one.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an empty --instance")
+
+    monkeypatch.setattr(cli, "count_two_optimal_exact", no_work)
+    monkeypatch.setattr(cli, "build_transition_graph", no_work)
+    for command in ("census", "tgraph"):
+        code, out = run_cli([command, "--n", "5", "--instance", ""], capsys)
+        assert code == 1
+        assert json.loads(out)["status"] == "error"
+
+
 def test_gen_artifact_is_reproducible(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

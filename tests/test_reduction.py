@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from twooptlab import (
     BaseGraph,
     CapExceededError,
-    ReductionParams,
     SingularMatrixError,
     build_reduction_instance,
     census_vector,
-    coefficient_matrix,
-    coefficient_matrix_determinant,
     count_path_covers_bruteforce,
     count_two_optimal_exact,
     cover_coefficient,
@@ -22,14 +19,13 @@ from twooptlab import (
     recover_corrected_counts,
     recover_path_cover_counts,
     reduction_report,
-    tours_per_cover_empirical,
+    two_optimal_tours,
     verify_no_nonedge_characterization,
 )
 from twooptlab.core import Instance, all_pairs, pair_count
 from twooptlab.reduction import (
     canonical_cover,
     cover_census,
-    default_params,
     enumerate_path_covers,
     feasible_size_profiles,
     tour_segments,
@@ -50,31 +46,28 @@ def test_edge_list_parsing():
 
 
 def test_params_invariants():
-    with pytest.raises(ValueError):
-        ReductionParams(m=2, L=1, N=2, M=100).validate_for(2)  # m too small
-    with pytest.raises(ValueError):
-        ReductionParams(m=3, L=1, N=3, M=100).validate_for(2)  # N != 2L
-    with pytest.raises(ValueError):
-        ReductionParams(m=3, L=1, N=2, M=10).validate_for(2)  # M too small
-    ReductionParams(m=3, L=1, N=2, M=11).validate_for(2)
+    for m in (2, 5):  # m outside nv+1..2nv
+        with pytest.raises(ValueError, match=f"need nv\\+1 <= m <= 2\\*nv, got m={m} for nv=2"):
+            build_reduction_instance(K2, m)
+    build_reduction_instance(K2, 3)
 
 
 def test_build_instance_weight_table():
-    inst = build_reduction_instance(K2, ReductionParams(m=3, L=1, N=2, M=100))
+    inst = build_reduction_instance(K2, 3)
     assert inst.n == 5 and inst.mode == "exact"
+    assert inst.label == "reduction(nv=2,m=3,L=1,N=2,M=11)"
     assert inst.weight(0, 1) == 0
     assert inst.weight(0, 2) == 1
     assert inst.weight(2, 3) == 2
 
 
 def test_build_instance_penalty_edges_iff_incomplete():
-    complete = build_reduction_instance(K3, default_params(3, 4))
-    assert all(w < complete.weight(0, 3) or w in (0, 1, 2) for w in complete.weights)
-    assert default_params(3, 4).M not in complete.weights
-    p3_inst = build_reduction_instance(P3, default_params(3, 4))
-    m_weights = [w for w in p3_inst.weights if w == default_params(3, 4).M]
-    assert len(m_weights) == 1
-    assert p3_inst.weight(0, 2) == default_params(3, 4).M
+    penalty = 2 * (3 + 4) + 1
+    complete = build_reduction_instance(K3, 4)
+    assert set(complete.weights) == {0, 1, 2}
+    p3_inst = build_reduction_instance(P3, 4)
+    assert p3_inst.weights.count(penalty) == 1
+    assert p3_inst.weight(0, 2) == penalty
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,30 +90,60 @@ def test_weight_tables_follow_the_pair_layout(n, mode, seed, data):
     nv = data.draw(st.integers(min_value=2, max_value=5))
     edges = data.draw(st.sets(st.sampled_from(all_pairs(nv))))
     m = data.draw(st.integers(min_value=nv + 1, max_value=2 * nv))
-    big_l = data.draw(st.integers(min_value=1, max_value=5))
-    params = ReductionParams(m=m, L=big_l, N=2 * big_l, M=(nv + m) * 2 * big_l + 1)
-    reduced = build_reduction_instance(BaseGraph.from_edges(nv, edges), params)
+    reduced = build_reduction_instance(BaseGraph.from_edges(nv, edges), m)
     for i, j in all_pairs(nv + m):
         inside = sum(v < nv for v in (i, j))
-        expected = {2: 0 if (i, j) in edges else params.M, 1: params.L, 0: params.N}[inside]
+        expected = {2: 0 if (i, j) in edges else 2 * (nv + m) + 1, 1: 1, 0: 2}[inside]
         assert reduced.weight(i, j) == expected
 
 
+def _weighted_reduction(g: BaseGraph, m: int, big_l: int, big_n: int, big_m: int) -> Instance:
+    # The four-case weight rule of the construction, with the weights as inputs.
+    weights = tuple(
+        (0 if (i, j) in g.edges else big_m) if j < g.nv else big_l if i < g.nv else big_n
+        for i, j in all_pairs(g.nv + m)
+    )
+    return Instance(n=g.nv + m, weights=weights, mode="exact")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_any_valid_weights_give_the_builders_two_optimal_tours(data):
+    # N = 2L and M > (nv + m) N are all the construction needs: every such
+    # choice of weights has the fixed weights' 2-optimal tours.
+    nv = data.draw(st.integers(min_value=2, max_value=3))
+    g = BaseGraph.from_edges(nv, data.draw(st.sets(st.sampled_from(all_pairs(nv)))))
+    big_l = data.draw(st.integers(min_value=1, max_value=5))
+    extra = data.draw(st.integers(min_value=0, max_value=3))
+    for m in range(nv + 1, 2 * nv + 1):
+        built = build_reduction_instance(g, m)
+        other = _weighted_reduction(g, m, big_l, 2 * big_l, (nv + m) * 2 * big_l + 1 + extra)
+        assert count_two_optimal_exact(other) == count_two_optimal_exact(built)
+        if nv + m <= 8:
+            assert list(two_optimal_tours(other)) == list(two_optimal_tours(built))
+
+
+def test_swapping_crossing_and_auxiliary_weights_changes_the_count():
+    # The property above would notice L and N trading places.
+    assert count_two_optimal_exact(build_reduction_instance(P3, 4)) == 240
+    assert count_two_optimal_exact(_weighted_reduction(P3, 4, 2, 1, 15)) == 24
+
+
 def test_no_nonedge_characterization_small_bases():
-    assert verify_no_nonedge_characterization(K2, default_params(2, 3))
-    assert verify_no_nonedge_characterization(P3, default_params(3, 4))
-    assert verify_no_nonedge_characterization(K3, default_params(3, 4))
+    assert verify_no_nonedge_characterization(K2, 3)
+    assert verify_no_nonedge_characterization(P3, 4)
+    assert verify_no_nonedge_characterization(K3, 4)
 
 
 def test_no_nonedge_cap():
     with pytest.raises(CapExceededError):
-        verify_no_nonedge_characterization(P4, default_params(4, 6))
+        verify_no_nonedge_characterization(P4, 6)
     with pytest.raises(CapExceededError):
-        cover_census(P4, default_params(4, 6))
+        cover_census(P4, 6)
 
 
 def test_all_tours_two_optimal_when_base_complete():
-    inst = build_reduction_instance(K2, default_params(2, 3))
+    inst = build_reduction_instance(K2, 3)
     assert count_two_optimal_exact(inst) == 12
 
 
@@ -203,16 +226,15 @@ def test_tour_segments_restriction():
 
 
 def test_tours_per_cover_k2_m3():
-    params = default_params(2, 3)
-    assert tours_per_cover_empirical(K2, params, [(0, 1)]) == 6
-    assert tours_per_cover_empirical(K2, params, [(0,), (1,)]) == 6
+    census = cover_census(K2, 3)
+    assert census[canonical_cover([(0, 1)])] == 6
+    assert census[canonical_cover([(0,), (1,)])] == 6
 
 
 def test_cover_census_partitions_two_optimal_tours():
     for g, m in ((K2, 3), (K2, 4), (P3, 4)):
-        params = default_params(g.nv, m)
-        census = cover_census(g, params)
-        total = count_two_optimal_exact(build_reduction_instance(g, params))
+        census = cover_census(g, m)
+        total = count_two_optimal_exact(build_reduction_instance(g, m))
         assert sum(census.values()) == total
 
 
@@ -221,7 +243,7 @@ def test_cover_census_p4_matches_corrected_model_per_cover():
     # the 20160 tours; the corrected coefficient reproduces each class and
     # coincides with the paper coefficient exactly when no path is a
     # singleton (the two-path split 960 == c(2, 5)).
-    census = cover_census(P4, default_params(4, 5))
+    census = cover_census(P4, 5)
     expected = {
         canonical_cover([(0, 1, 2, 3)]): 120,
         canonical_cover([(0,), (1, 2, 3)]): 480,
@@ -239,20 +261,29 @@ def test_cover_census_p4_matches_corrected_model_per_cover():
     assert expected[canonical_cover([(0, 1), (2, 3)])] == cover_coefficient(2, 5)
 
 
+def paper_census(a) -> list[int]:
+    """b_m = sum_l cover_coefficient(l, m) a_l for m = nv+1..2nv, nv = len(a)."""
+    nv = len(a)
+    return [sum(cover_coefficient(size, m) * a[size - 1] for size in range(1, nv + 1))
+            for m in range(nv + 1, 2 * nv + 1)]
+
+
 def test_coefficient_matrix_values():
-    assert coefficient_matrix(1) == [[2]]
-    assert coefficient_matrix(2) == [[6, 24], [24, 144]]
+    # The paper matrix at nv = 1 and nv = 2, one entry per (size, m).
+    assert cover_coefficient(1, 2) == 2
+    assert [cover_coefficient(1, 3), cover_coefficient(1, 4)] == [6, 24]
+    assert [cover_coefficient(2, 3), cover_coefficient(2, 4)] == [24, 144]
 
 
 def test_coefficient_matrix_nonsingular_up_to_8():
+    # Full rank exactly when the paper matrix has a non-zero determinant.
     for nv in range(1, 9):
-        assert coefficient_matrix_determinant(nv) != 0
+        assert recover_path_cover_counts([0] * nv, nv).full_rank
 
 
 def test_recovery_round_trip():
     a = (1, 2, 1)
-    c = coefficient_matrix(3)
-    b = [sum(c[row][col] * a[row] for row in range(3)) for col in range(3)]
+    b = paper_census(a)
     result = recover_path_cover_counts(b, 3)
     assert [int(x) for x in result.a] == list(a)
     assert result.integral and result.nonnegative
@@ -264,11 +295,9 @@ def test_recovery_round_trip():
 def test_recovery_random_round_trips():
     rng = substream(9, "recovery")
     for nv in range(1, 7):
-        c = coefficient_matrix(nv)
         for _ in range(5):
             a = [int(rng.integers(0, 50)) for _ in range(nv)]
-            b = [sum(c[row][col] * a[row] for row in range(nv)) for col in range(nv)]
-            result = recover_path_cover_counts(b, nv)
+            result = recover_path_cover_counts(paper_census(a), nv)
             assert [int(x) for x in result.a] == a
 
 
