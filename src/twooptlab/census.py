@@ -11,7 +11,11 @@ on equal weights, where every canonical order survives.  That node list, and
 the table of the node each move sends each node to, depend on n alone, so the
 graph builds them once for the last n it saw; each instance then scores every
 move on all nodes at once, looks its improving moves up in the table and keeps
-its arcs as one (m, 2) array.
+its arcs as one (m, 2) array.  The search keeps its partial tours as int16
+columns and scores the moves that close at a position in one (moves, children)
+block per removed tour edge; every gather on the int16 arrays goes through
+``take``, ``compress`` or a flat intp index, never through an int16 fancy
+index, which numpy casts to intp on each call.
 
 The census counts once per orbit of the instance's twin classes.  Vertices u
 and v are twins when w(u, x) = w(v, x) for every other vertex x, as the
@@ -117,13 +121,17 @@ def _twin_classes(inst: Instance) -> list[list[int]]:
 def _delta(w: np.ndarray, orders: np.ndarray, scaled: np.ndarray, move) -> np.ndarray:
     """Gain of the 2-change (a, b, c, d) on each column; ``scaled`` is ``orders * n``.
 
-    Left to right, as in the scalar formula, so float deltas round alike.
+    With row slices a and b of one length and single rows c and d, it scores
+    the moves (a[r], b[r], c, d) as the rows r of one (moves, columns) block.
+    Terms are summed left to right, as in the scalar formula, so float deltas
+    round alike.  ``take`` reads int16 indices without first casting them to
+    intp, as ``w[...]`` does.
     """
     a, b, c, d = move
-    delta = w[scaled[a] + orders[b]]
-    delta += w[scaled[c] + orders[d]]
-    delta -= w[scaled[a] + orders[c]]
-    delta -= w[scaled[b] + orders[d]]
+    delta = w.take(scaled[a] + orders[b])
+    delta += w.take(scaled[c] + orders[d])
+    delta -= w.take(scaled[a] + orders[c])
+    delta -= w.take(scaled[b] + orders[d])
     return delta
 
 
@@ -139,8 +147,9 @@ def _two_optimal_orders(
     position p gives every prefix each free vertex in increasing order, so
     the children stay lexicographic, and then tests every move whose last
     position, max(c, d), is p; a child survives only if none of them strictly
-    improves.  Filling the last position first applies the canonical rule
-    order[1] < order[n-1].
+    improves.  Those moves are scored together, one (moves, children) block
+    per removed edge (c, d).  Filling the last position first applies the
+    canonical rule order[1] < order[n-1].
 
     ``gate`` lists vertex classes, each in increasing order and without
     vertex 0; a member may fill a position only after every smaller member of
@@ -153,31 +162,41 @@ def _two_optimal_orders(
     after = np.full(n, n)
     for cls in gate:
         after[cls[1:]] = cls[:-1]
-    closing: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    gated = bool((after < n).any())
+    # closing[p] holds the moves whose last position, max(c, d), is p, as
+    # (a, b, c, d) blocks: the moves (i, i+1, j, j+1 mod n) of one j take
+    # consecutive i, so a and b are row slices and c and d single rows.  Every
+    # position has one block but the last, which has two (j = n-2 and n-1).
+    closing: list[list[tuple[slice, slice, int, int]]] = [[] for _ in range(n)]
     if len(set(inst.weights)) > 1:  # under equal weights every 2-change gains exactly 0
-        for a, b, c, d in move_quadruples(n):
-            closing[max(c, d)].append((a, b, c, d))
+        firsts: dict[tuple[int, int], list[int]] = {}
+        for a, _, c, d in move_quadruples(n):
+            firsts.setdefault((c, d), []).append(a)
+        for (c, d), i in firsts.items():
+            closing[max(c, d)].append((slice(i[0], i[-1] + 1), slice(i[0] + 1, i[-1] + 2), c, d))
 
     def extend(front: np.ndarray, p: int) -> np.ndarray:
         k = front.shape[1]
         used = np.zeros((k, n + 1), dtype=bool)
         used[:, n] = True
-        used[np.arange(k), front] = True
-        free = ~used[:, :n] & used[:, after]
-        parent, vertex = np.nonzero(free)  # row-major: by parent, then vertex
+        used.ravel()[front + np.arange(0, k * (n + 1), n + 1)] = True
+        free = ~used[:, :n]
+        if gated:
+            free &= used[:, after]
+        parent, vertex = np.divmod(np.flatnonzero(free), n)  # by parent, then vertex
         if p == n - 1:
-            keep = front[1, parent] < vertex
+            keep = front[1].take(parent) < vertex
             parent, vertex = parent[keep], vertex[keep]
         child = np.empty((p + 1, len(parent)), dtype=np.int16)
-        child[:p] = front[:, parent]
+        front.take(parent, axis=1, out=child[:p])
         child[p] = vertex
         if not closing[p]:
             return child
         scaled = child * n
         improving = np.zeros(len(parent), dtype=bool)
         for move in closing[p]:
-            improving |= _delta(w, child, scaled, move) > 0
-        return child[:, ~improving]
+            improving |= (_delta(w, child, scaled, move) > 0).any(axis=0)
+        return child.compress(~improving, axis=1)
 
     def descend(front: np.ndarray, p: int) -> Iterator[np.ndarray]:
         step = max(1, _CHUNK_ORDERS // (n - p))

@@ -93,6 +93,8 @@ def _csv(args: argparse.Namespace, header: list[str], rows: list[list]) -> str:
 
 def _load_instance(args: argparse.Namespace) -> Instance:
     if args.instance is not None:
+        if args.n is not None or args.equal_weights:
+            raise ValueError("--instance takes neither --n nor --equal-weights")
         data = json.loads(Path(args.instance).read_text())
         if isinstance(data, dict) and "instance" in data:
             data = data["instance"]  # a `gen` artifact nests it next to the manifest

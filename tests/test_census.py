@@ -131,6 +131,26 @@ def test_census_full_scan_keeps_every_tour():
     assert tours == list(enumerate_canonical_tours(9))
 
 
+def test_census_sums_each_delta_left_to_right():
+    # On these weights one move of a canonical tour gains ((w_ab + w_cd) - w_ac) - w_bd
+    # <= 0 but (w_ab - w_ac) + (w_cd - w_bd) > 0, so a search that grouped the terms
+    # otherwise would drop a tour that the scalar formula keeps.
+    weights = (0.6, 1.0, 1.1, 0.3, 0.6, 0.1, 0.2, 0.3, 0.6, 3.3)
+    inst = Instance(n=5, weights=weights, mode="float")
+    w = inst.weight_matrix()
+
+    def regrouped_gain(o, a, b, c, d):
+        return (w[o[a]][o[b]] - w[o[a]][o[c]]) + (w[o[c]][o[d]] - w[o[b]][o[d]])
+
+    full = _full_scan(inst)
+    assert len(full) == 2
+    assert any(
+        regrouped_gain(t.order, *move) > 0 for t in full for move in core.move_quadruples(5)
+    )
+    assert list(two_optimal_tours(inst)) == full
+    assert count_two_optimal_exact(inst) == len(full)
+
+
 def _near_limit_instance(n, magnitude):
     # Half the weights sit a few units below the magnitude and half a few
     # above 0, so deltas reach twice the magnitude and ties are decided by the
@@ -192,6 +212,39 @@ _P3 = BaseGraph.from_edges(3, [(0, 1), (1, 2)])
 _K3 = BaseGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 _P4 = BaseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 _C4 = BaseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def test_scored_search_memory_is_bounded_by_the_chunk():
+    # Every order of this instance is 2-optimal, so each child is scored against
+    # every move closing at its position, 12 at the last one.  Measured 1.1 MB
+    # with the moves of a position scored as one block.
+    tracemalloc.start()
+    try:
+        blocks = census._two_optimal_orders(build_reduction_instance(_K3, 6), 9)
+        assert sum(block.shape[1] for block in blocks) == 20_160
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def _convex_instance(n):
+    # Points on a circle at sorted random angles; vertex v sits at angle rank rank[v].
+    rng = substream(n, "convex-position")
+    angles = np.sort(rng.random(n)) * 2 * math.pi
+    rank = rng.permutation(n)
+    x, y = np.cos(angles[rank]), np.sin(angles[rank])
+    weights = tuple(math.hypot(x[i] - x[j], y[i] - y[j]) for i, j in all_pairs(n))
+    return Instance(n=n, weights=weights, mode="float"), canonicalize(np.argsort(rank).tolist())
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_points_in_convex_position_have_one_two_optimal_tour(n):
+    # A strictly improving 2-change removes any crossing, and the hull order is
+    # the one cycle without a crossing: an exact count past the itertools oracle.
+    inst, hull = _convex_instance(n)
+    assert [t.order for t in two_optimal_tours(inst, cap=12)] == [hull]
+    assert count_two_optimal_exact(inst, cap=12) == 1
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from twooptlab import bounds, cli, interaction_slope
+from twooptlab import bounds, cli, interaction_slope, random_instance
 from twooptlab.cli import build_parser, main
 
 # Child processes import the package from src, as pytest does, installed or not.
@@ -62,9 +62,32 @@ def test_empty_instance_path_is_refused_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_two_optimal_exact", no_work)
     monkeypatch.setattr(cli, "build_transition_graph", no_work)
     for command in ("census", "tgraph"):
-        code, out = run_cli([command, "--n", "5", "--instance", ""], capsys)
+        code, out = run_cli([command, "--instance", ""], capsys)
         assert code == 1
         assert json.loads(out)["status"] == "error"
+
+
+@pytest.mark.parametrize("extra", [["--n", "5"], ["--equal-weights"], ["--n", "6", "--equal-weights"]])
+def test_instance_file_refuses_the_generated_instance_flags(extra, tmp_path, capsys, monkeypatch):
+    # The file fixes the instance, so a --n or --equal-weights next to it would
+    # only be written into the manifest of an artifact it did not shape.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a conflicting --instance")
+
+    path = tmp_path / "g6.json"
+    path.write_text(json.dumps(random_instance(6, seed=1).to_json_dict()))
+    monkeypatch.setattr(cli, "count_two_optimal_exact", no_work)
+    monkeypatch.setattr(cli, "build_transition_graph", no_work)
+    for command in ("census", "tgraph"):
+        out_path = tmp_path / f"{command}.json"
+        argv = [command, *extra, "--instance", str(path), "--out", str(out_path)]
+        code, out = run_cli(argv, capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "error",
+            "reason": "--instance takes neither --n nor --equal-weights",
+        }
+        assert not out_path.exists()
 
 
 def test_gen_artifact_is_reproducible(tmp_path, capsys):
