@@ -15,7 +15,10 @@ its arcs as one (m, 2) array.  The search keeps its partial tours as int16
 columns and scores the moves that close at a position in one (moves, children)
 block per removed tour edge; every gather on the int16 arrays goes through
 ``take``, ``compress`` or a flat intp index, never through an int16 fancy
-index, which numpy casts to intp on each call.
+index, which numpy casts to intp on each call.  Those closing blocks depend on
+n alone too and are built once per n, from the shared ``core.move_quadruples``.
+A census checks the enumeration cap before any set-up, then builds the
+instance's weight table once; the twin classes and the search both read it.
 
 The census counts once per orbit of the instance's twin classes.  Vertices u
 and v are twins when w(u, x) = w(v, x) for every other vertex x, as the
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -99,23 +101,22 @@ def _weight_table(inst: Instance) -> np.ndarray:
     return np.array(inst.weight_matrix(), dtype=dtype).ravel()
 
 
-def _twin_classes(inst: Instance) -> list[list[int]]:
+def _twin_classes(w: np.ndarray, n: int) -> list[list[int]]:
     """Twin classes in increasing order: u, v are twins when w(u, x) = w(v, x) for every other x.
 
-    Twins share their weights to each other as well, so the relation is an
-    equivalence and comparing with a class's first member suffices.
+    ``w`` is the flat table of ``_weight_table``.  Twins share their weights to
+    each other as well, so the relation is an equivalence and each class is
+    the twins of its smallest member.
     """
-    w = inst.weight_matrix()
-    classes: list[list[int]] = []
-    for v in range(inst.n):
-        for cls in classes:
-            u = cls[0]
-            if all(w[u][x] == w[v][x] for x in range(inst.n) if x != u and x != v):
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    return classes
+    rows = w.reshape(n, n)
+    same = rows[:, None, :] == rows[None, :, :]  # same[u, v, x]: w(u, x) = w(v, x)
+    vertices = np.arange(n)
+    same[vertices, :, vertices] = True  # x = u and x = v are not compared
+    same[:, vertices, vertices] = True
+    classes: dict[int, list[int]] = {}
+    for v, first in enumerate(same.all(axis=2).argmax(axis=1).tolist()):
+        classes.setdefault(first, []).append(v)
+    return list(classes.values())
 
 
 def _delta(w: np.ndarray, orders: np.ndarray, scaled: np.ndarray, move) -> np.ndarray:
@@ -135,8 +136,26 @@ def _delta(w: np.ndarray, orders: np.ndarray, scaled: np.ndarray, move) -> np.nd
     return delta
 
 
+@functools.cache
+def _closing_moves(n: int) -> tuple[tuple[tuple[slice, slice, int, int], ...], ...]:
+    """The moves whose last position, max(c, d), is p, for each position p.
+
+    They come as (a, b, c, d) blocks: the moves (i, i+1, j, j+1 mod n) of one
+    j take consecutive i, so a and b are row slices and c and d single rows.
+    Positions 3..n-2 have one block each (j = p-1) and the last has two
+    (j = n-2 and n-1).  Depends on n alone, so it is built once per n.
+    """
+    firsts: dict[tuple[int, int], list[int]] = {}
+    for a, _, c, d in move_quadruples(n):
+        firsts.setdefault((c, d), []).append(a)
+    closing: list[list[tuple[slice, slice, int, int]]] = [[] for _ in range(n)]
+    for (c, d), i in firsts.items():
+        closing[max(c, d)].append((slice(i[0], i[-1] + 1), slice(i[0] + 1, i[-1] + 2), c, d))
+    return tuple(map(tuple, closing))
+
+
 def _two_optimal_orders(
-    inst: Instance, cap: int, gate: Sequence[Sequence[int]] = ()
+    inst: Instance, w: np.ndarray, gate: Sequence[Sequence[int]] = ()
 ) -> Iterator[np.ndarray]:
     """Vertex orders of the 2-optimal canonical tours, as (n, k) int16 blocks.
 
@@ -151,29 +170,19 @@ def _two_optimal_orders(
     per removed edge (c, d).  Filling the last position first applies the
     canonical rule order[1] < order[n-1].
 
+    ``w`` is ``_weight_table(inst)``; callers check the enumeration cap first.
     ``gate`` lists vertex classes, each in increasing order and without
     vertex 0; a member may fill a position only after every smaller member of
     its class.
     """
     n = inst.n
-    check_enumeration_cap(n, cap)
-    w = _weight_table(inst)
     # Vertex v may be placed once vertex after[v] is; column n of ``used`` is always set.
     after = np.full(n, n)
     for cls in gate:
         after[cls[1:]] = cls[:-1]
     gated = bool((after < n).any())
-    # closing[p] holds the moves whose last position, max(c, d), is p, as
-    # (a, b, c, d) blocks: the moves (i, i+1, j, j+1 mod n) of one j take
-    # consecutive i, so a and b are row slices and c and d single rows.  Every
-    # position has one block but the last, which has two (j = n-2 and n-1).
-    closing: list[list[tuple[slice, slice, int, int]]] = [[] for _ in range(n)]
-    if len(set(inst.weights)) > 1:  # under equal weights every 2-change gains exactly 0
-        firsts: dict[tuple[int, int], list[int]] = {}
-        for a, _, c, d in move_quadruples(n):
-            firsts.setdefault((c, d), []).append(a)
-        for (c, d), i in firsts.items():
-            closing[max(c, d)].append((slice(i[0], i[-1] + 1), slice(i[0] + 1, i[-1] + 2), c, d))
+    # Under equal weights every 2-change gains exactly 0, so no move is tested.
+    closing = _closing_moves(n) if len(set(inst.weights)) > 1 else ((),) * n
 
     def extend(front: np.ndarray, p: int) -> np.ndarray:
         k = front.shape[1]
@@ -218,7 +227,8 @@ def two_optimal_tours(inst: Instance, cap: int = ENUMERATION_CAP) -> Iterator[To
     The prefix-pruned search behind every exact scanner; refuses n beyond the
     enumeration cap.
     """
-    for block in _two_optimal_orders(inst, cap):
+    check_enumeration_cap(inst.n, cap)
+    for block in _two_optimal_orders(inst, _weight_table(inst)):
         for order in block.T.tolist():
             yield Tour(tuple(order))
 
@@ -229,10 +239,12 @@ def count_two_optimal_exact(inst: Instance, cap: int = ENUMERATION_CAP) -> int:
     See the module docstring; without twins every canonical tour is searched.
     """
     n = inst.n
-    movable = [[v for v in cls if v] for cls in _twin_classes(inst)]
+    check_enumeration_cap(n, cap)
+    w = _weight_table(inst)
+    movable = [[v for v in cls if v] for cls in _twin_classes(w, n)]
     # ends[x * n + y] counts the surviving orders with order[1] = x and order[n-1] = y.
     ends = np.zeros(n * n, dtype=np.int64)
-    for block in _two_optimal_orders(inst, cap, movable):
+    for block in _two_optimal_orders(inst, w, movable):
         ends += np.bincount(block[1] * n + block[-1], minlength=n * n)
     twins = {v: cls for cls in movable for v in cls}
     group = math.prod(math.factorial(len(cls)) for cls in movable)
@@ -269,7 +281,9 @@ def _move_targets(n: int) -> tuple[np.ndarray, np.ndarray]:
     is the node that move m of ``move_quadruples(n)`` sends node u to.
     """
     # Under equal weights the search tests no 2-change and keeps every canonical order.
-    blocks = _two_optimal_orders(constant_instance(n), ALL_TOURS_CAP)
+    check_enumeration_cap(n, ALL_TOURS_CAP)
+    equal = constant_instance(n)
+    blocks = _two_optimal_orders(equal, _weight_table(equal))
     orders = np.concatenate(list(blocks), axis=1).astype(np.int64)
     count = orders.shape[1]
     # Position 0 holds vertex 0 and position n-1 the vertex left over, so base n-1 keys
@@ -319,10 +333,11 @@ class TransitionStats:
     walk_lengths: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
+        lengths, counts = np.unique(self.walk_lengths, return_counts=True)
         return {
             "sinks": self.sinks,
             "longest_path": self.longest_path,
-            "walk_lengths": dict(Counter(map(str, self.walk_lengths))),
+            "walk_lengths": dict(zip(map(str, lengths.tolist()), counts.tolist())),
         }
 
 

@@ -2,9 +2,10 @@
 
 Each artifact embeds a manifest (command, parameters, seed, worker count,
 version); re-running the same manifest reproduces the artifact byte for
-byte.  Input files (``--instance``, ``--graph``) are named by the sha256 of
-their bytes, not by their path, so the same input anywhere writes the same
-artifact.  Wall time is reported on stderr so it never perturbs artifact bytes.
+byte.  Input files (``--instance``, ``--graph``) are read once and named by
+the sha256 of the bytes read, not by their path, so the same input anywhere
+writes the same artifact.  Wall time is reported on stderr so it never
+perturbs artifact bytes.
 Exit code 0 means every verification passed; refusals, bad input and failed
 verifications exit 1 with a machine-readable diagnostic.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -61,9 +63,6 @@ def _manifest(args: argparse.Namespace) -> dict:
         for k, v in sorted(vars(args).items())
         if k not in ("func", "command", "out", "arcs_csv", "spectrum_csv") and v is not None
     }
-    for key in ("instance", "graph"):
-        if key in params:
-            params[key] = "sha256:" + hashlib.sha256(Path(params[key]).read_bytes()).hexdigest()
     return {
         "command": args.command,
         "params": params,
@@ -91,11 +90,22 @@ def _csv(args: argparse.Namespace, header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_input(args: argparse.Namespace, key: str) -> str:
+    """Text of the input file named by ``args.<key>``, read once.
+
+    The path in ``args`` becomes the sha256 of the bytes read, which the
+    manifest records; the bytes decode as ``Path.read_text`` decodes them.
+    """
+    data = Path(getattr(args, key)).read_bytes()
+    setattr(args, key, "sha256:" + hashlib.sha256(data).hexdigest())
+    return io.TextIOWrapper(io.BytesIO(data)).read()
+
+
 def _load_instance(args: argparse.Namespace) -> Instance:
     if args.instance is not None:
         if args.n is not None or args.equal_weights:
             raise ValueError("--instance takes neither --n nor --equal-weights")
-        data = json.loads(Path(args.instance).read_text())
+        data = json.loads(_read_input(args, "instance"))
         if isinstance(data, dict) and "instance" in data:
             data = data["instance"]  # a `gen` artifact nests it next to the manifest
         return Instance.from_json_dict(data)
@@ -139,7 +149,7 @@ def cmd_tgraph(args):
 
 
 def cmd_reduce(args):
-    graph = BaseGraph.from_edge_list_text(Path(args.graph).read_text())
+    graph = BaseGraph.from_edge_list_text(_read_input(args, "graph"))
     report = reduction_report(graph, cap=_census_cap(args))
     agrees = report["corrected_matches_bruteforce"]
     return report, None if agrees else "corrected-model recovery disagrees with brute force"

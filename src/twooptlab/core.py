@@ -11,6 +11,7 @@ so distinct canonical tours number (n-1)!/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -221,13 +222,15 @@ def enumerate_two_changes(n: int) -> list[TwoChange]:
     return moves
 
 
-def move_quadruples(n: int) -> list[tuple[int, int, int, int]]:
+@functools.cache
+def move_quadruples(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """Tour positions (a, b, c, d) = (i, i+1, j, j+1 mod n) per move.
 
     Aligned with enumerate_two_changes.  On a tour o the move removes the
     edges (o[a], o[b]) and (o[c], o[d]) and adds (o[a], o[c]) and (o[b], o[d]).
+    Built once per n; every caller shares the one immutable tuple.
     """
-    return [(m.i, m.i + 1, m.j, (m.j + 1) % n) for m in enumerate_two_changes(n)]
+    return tuple((m.i, m.i + 1, m.j, (m.j + 1) % n) for m in enumerate_two_changes(n))
 
 
 def move_edges(tour: Tour, move: TwoChange):

@@ -84,6 +84,14 @@ def test_is_two_optimal_refuses_a_tour_of_another_size(size):
         is_two_optimal(random_instance(5, seed=0), Tour(tuple(range(size))))
 
 
+def _orders(inst):
+    return census._two_optimal_orders(inst, census._weight_table(inst))
+
+
+def _classes(inst):
+    return census._twin_classes(census._weight_table(inst), inst.n)
+
+
 @pytest.mark.parametrize("n,count", [(4, 3), (5, 12), (6, 60), (7, 360), (8, 2520), (9, 20160)])
 def test_census_equal_weights(n, count):
     assert count_two_optimal_exact(constant_instance(n)) == count
@@ -92,7 +100,7 @@ def test_census_equal_weights(n, count):
 @pytest.mark.parametrize("n", range(4, 10))
 def test_equal_weight_search_lists_every_canonical_order(n):
     # Under equal weights the search tests no move, and keeps every order.
-    blocks = census._two_optimal_orders(constant_instance(n), 9)
+    blocks = _orders(constant_instance(n))
     orders = [tuple(o) for o in np.concatenate(list(blocks), axis=1).T.tolist()]
     assert len(orders) == math.factorial(n - 1) // 2
     assert orders == sorted(set(orders))
@@ -191,7 +199,7 @@ def test_census_memory_is_bounded_by_the_chunk():
     # chunked; the whole n = 9 frontier at once takes 3.9 MB.
     tracemalloc.start()
     try:
-        blocks = census._two_optimal_orders(constant_instance(9), 9)
+        blocks = _orders(constant_instance(9))
         assert sum(block.shape[1] for block in blocks) == 20_160
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -220,7 +228,7 @@ def test_scored_search_memory_is_bounded_by_the_chunk():
     # with the moves of a position scored as one block.
     tracemalloc.start()
     try:
-        blocks = census._two_optimal_orders(build_reduction_instance(_K3, 6), 9)
+        blocks = _orders(build_reduction_instance(_K3, 6))
         assert sum(block.shape[1] for block in blocks) == 20_160
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -258,7 +266,7 @@ def test_points_in_convex_position_have_one_two_optimal_tour(n):
     ids=["K3-m6", "C4-m5", "random", "constant"],
 )
 def test_twin_classes(inst, classes):
-    assert census._twin_classes(inst) == classes
+    assert _classes(inst) == classes
 
 
 @pytest.mark.parametrize("graph", [_P3, _K3, _P4, _C4], ids=["P3", "K3", "P4", "C4"])
@@ -275,8 +283,16 @@ def planted_twin_instances(draw):
     n = draw(st.integers(5, 8))
     label = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     members = [[u for u in range(n) if label[u] == label[v]] for v in range(n)]
-    mode = draw(st.sampled_from(["exact", "float"]))
-    values = st.integers(0, 3) if mode == "exact" else st.floats(0.0, 1.0)
+    # Weights from 2**61 on make an object table, compared as Python ints.
+    mode, values = draw(
+        st.sampled_from(
+            [
+                ("exact", st.integers(0, 3)),
+                ("exact", st.integers(2**61, 2**61 + 3)),
+                ("float", st.floats(0.0, 1.0)),
+            ]
+        )
+    )
     base = draw(st.lists(values, min_size=pair_count(n), max_size=pair_count(n)))
 
     def source(i, j):
@@ -291,11 +307,60 @@ def planted_twin_instances(draw):
 @given(planted_twin_instances())
 def test_quotient_census_equals_full_scan_with_planted_twins(chunk, planted):
     inst, members = planted
-    classes = census._twin_classes(inst)
+    classes = _classes(inst)
     assert all(any(set(cls) <= set(found) for found in classes) for cls in members)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(census, "_CHUNK_ORDERS", chunk)
         assert count_two_optimal_exact(inst) == len(_full_scan(inst))
+
+
+def _pairwise_twin_classes(inst):
+    # The definition, vertex pair by vertex pair: v joins the first class whose
+    # first member has v's weight to every other vertex.
+    w = inst.weight_matrix()
+    classes = []
+    for v in range(inst.n):
+        for cls in classes:
+            u = cls[0]
+            if all(w[u][x] == w[v][x] for x in range(inst.n) if x != u and x != v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_twin_instances())
+def test_twin_classes_match_the_pairwise_definition(planted):
+    inst, _ = planted
+    assert _classes(inst) == _pairwise_twin_classes(inst)
+
+
+def test_census_refuses_past_the_cap_before_any_set_up(monkeypatch):
+    def no_set_up(*args, **kwargs):
+        raise AssertionError("set-up ran before the cap refusal")
+
+    monkeypatch.setattr(census, "_weight_table", no_set_up)
+    monkeypatch.setattr(census, "_twin_classes", no_set_up)
+    with pytest.raises(CapExceededError):
+        count_two_optimal_exact(constant_instance(200), cap=12)
+
+
+def test_closing_blocks_are_built_once_per_n_and_immutable():
+    for n in range(4, 13):
+        closing = census._closing_moves(n)
+        assert census._closing_moves(n) is closing
+        listed = []
+        for p, blocks in enumerate(closing):
+            for rows_a, rows_b, c, d in blocks:
+                assert max(c, d) == p
+                listed += [(a, b, c, d) for a, b in zip(range(n)[rows_a], range(n)[rows_b])]
+        assert sorted(listed) == sorted(core.move_quadruples(n))
+    with pytest.raises(TypeError):
+        closing[n - 1] = ()
+    with pytest.raises(TypeError):
+        closing[n - 1][0] = (slice(0), slice(0), 0, 0)
 
 
 def test_float_twins_count_the_canonical_members_of_each_orbit():
@@ -303,7 +368,7 @@ def test_float_twins_count_the_canonical_members_of_each_orbit():
     # another order and round apart here, so |G| * P / 2 would give 3.
     weights = (0.1, 0.1, 0.6, 0.1, 0.1, 2.2, 0.1, 2.2, 0.1, 2.2)
     inst = Instance(n=5, weights=weights, mode="float")
-    assert census._twin_classes(inst) == [[0], [1, 2, 4], [3]]
+    assert _classes(inst) == [[0], [1, 2, 4], [3]]
     assert count_two_optimal_exact(inst) == len(_full_scan(inst)) == 4
 
 

@@ -208,6 +208,36 @@ def test_manifests_name_inputs_by_content(command, flag, text, tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("census", "--instance", json.dumps(random_instance(7, seed=3).to_json_dict())),
+        ("tgraph", "--instance", json.dumps(random_instance(6, seed=3).to_json_dict())),
+        ("reduce", "--graph", "0 1\n1 2\n"),
+    ],
+    ids=["census", "tgraph", "reduce"],
+)
+def test_each_input_file_is_read_once(command, flag, text, tmp_path, capsys, monkeypatch):
+    # The manifest names the bytes the run parsed, not a second read of the path.
+    source = tmp_path / "input.txt"
+    source.write_bytes(text.encode())
+    reads = []
+    for method in ("read_bytes", "read_text"):
+        original = getattr(Path, method)
+
+        def counted(self, *args, original=original, **kwargs):
+            if self.resolve() == source.resolve():
+                reads.append(method)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, counted)
+    out = tmp_path / "artifact.json"
+    assert run_cli([command, flag, str(source), "--out", str(out)], capsys)[0] == 0
+    assert len(reads) == 1
+    params = json.loads(out.read_text())["manifest"]["params"]
+    assert params[flag[2:]] == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
     "argv, artifact_sha256, rows_sha256",
     [
         (

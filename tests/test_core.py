@@ -238,6 +238,15 @@ def test_move_edges_identifies_chords():
     assert (f1, f2) == ((0, 2), (1, 3))
 
 
+def test_move_quadruples_are_one_immutable_tuple_per_n():
+    for n in range(4, 13):
+        quads = move_quadruples(n)
+        assert move_quadruples(n) is quads
+        assert quads == tuple((m.i, m.i + 1, m.j, (m.j + 1) % n) for m in enumerate_two_changes(n))
+    with pytest.raises(TypeError):
+        quads[0] = (0, 1, 2, 3)
+
+
 def test_move_quadruples_match_move_edges_on_reference_tour():
     for n in range(4, 10):
         tour = Tour(tuple(range(n)))
