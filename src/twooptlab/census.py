@@ -5,18 +5,20 @@ strictly improving 2-change.  Arcs strictly decrease tour length, so the
 graph is acyclic and its sinks are exactly the 2-optimal tours; float
 rounding can still make a move and its reverse both look improving, and
 ``transition_stats`` refuses such a cycle.  Both exhaustive scans, oracles
-for the estimators, share one search and one array kernel, ``_delta``: the
-census prunes a breadth-first search over partial tours, and the graph runs it
-on equal weights, where every canonical order survives.  That node list, and
-the table of the node each move sends each node to, depend on n alone, so the
-graph builds them once for the last n it saw; each instance then scores every
-move on all nodes at once, looks its improving moves up in the table and keeps
-its arcs as one (m, 2) array.  The search keeps its partial tours as int16
-columns and scores the moves that close at a position in one (moves, children)
-block per removed tour edge; every gather on the int16 arrays goes through
-``take``, ``compress`` or a flat intp index, never through an int16 fancy
-index, which numpy casts to intp on each call.  Those closing blocks depend on
-n alone too and are built once per n, from the shared ``core.move_quadruples``.
+for the estimators, share one search: the census prunes a breadth-first search
+over partial tours, and the graph runs it on equal weights, where every
+canonical order survives.  That node list, and the table of the node each move
+sends each node to, depend on n alone, so the graph builds them once for the
+last n it saw; each instance then scores every move on all nodes at once with
+``_delta``, looks its improving moves up in the table and keeps its arcs as one
+(m, 2) array.  A 2-change improves exactly when its two removed edges are
+incompatible, so the census reads every 2-change test from one table per
+instance, ``_compatible``, of n-bit masks over edge pairs.  Each partial tour
+carries the AND of the masks of its edges, and the vertices it may take next
+are the set bits of one mask.  The search keeps its partial tours as int16
+columns; every gather on the int16 arrays goes through ``take`` or a flat intp
+index, never through an int16 fancy index, which numpy casts to intp on each
+call.
 A census checks the enumeration cap before any set-up, then builds the
 instance's weight table once; the twin classes and the search both read it.
 
@@ -120,13 +122,11 @@ def _twin_classes(w: np.ndarray, n: int) -> list[list[int]]:
 
 
 def _delta(w: np.ndarray, orders: np.ndarray, scaled: np.ndarray, move) -> np.ndarray:
-    """Gain of the 2-change (a, b, c, d) on each column; ``scaled`` is ``orders * n``.
+    """Gain of the 2-change (a, b, c, d) on every column; ``scaled`` is ``orders * n``.
 
-    With row slices a and b of one length and single rows c and d, it scores
-    the moves (a[r], b[r], c, d) as the rows r of one (moves, columns) block.
+    The transition graph scores one move at a time on all its nodes this way.
     Terms are summed left to right, as in the scalar formula, so float deltas
-    round alike.  ``take`` reads int16 indices without first casting them to
-    intp, as ``w[...]`` does.
+    round alike.
     """
     a, b, c, d = move
     delta = w.take(scaled[a] + orders[b])
@@ -136,22 +136,31 @@ def _delta(w: np.ndarray, orders: np.ndarray, scaled: np.ndarray, move) -> np.nd
     return delta
 
 
-@functools.cache
-def _closing_moves(n: int) -> tuple[tuple[tuple[slice, slice, int, int], ...], ...]:
-    """The moves whose last position, max(c, d), is p, for each position p.
+def _bits(n: int) -> np.ndarray:
+    """``1 << v`` for each vertex v, in the narrowest unsigned dtype that holds n bits."""
+    return np.array([1 << v for v in range(n)], dtype=np.min_scalar_type((1 << n) - 1))
 
-    They come as (a, b, c, d) blocks: the moves (i, i+1, j, j+1 mod n) of one
-    j take consecutive i, so a and b are row slices and c and d single rows.
-    Positions 3..n-2 have one block each (j = p-1) and the last has two
-    (j = n-2 and n-1).  Depends on n alone, so it is built once per n.
+
+def _compatible(w: np.ndarray, n: int) -> np.ndarray:
+    """(n, n, n) table of n-bit masks: bit v of [a, b, u] says edge u->v may follow a->b.
+
+    The bit is set when the 2-change that removes the tour edges a->b and u->v
+    does not strictly improve, ((w_ab + w_uv) - w_au) - w_bv > 0 being false.
+    The terms are summed left to right on ``w``'s dtype, as ``_delta`` does,
+    so float decisions round alike.  Bit v of [a, b, v] is clear, and bit 0 of
+    every [0, b, u] is set: edge 0->o_1 and a closing edge u->0 are adjacent,
+    so no 2-change removes both.
     """
-    firsts: dict[tuple[int, int], list[int]] = {}
-    for a, _, c, d in move_quadruples(n):
-        firsts.setdefault((c, d), []).append(a)
-    closing: list[list[tuple[slice, slice, int, int]]] = [[] for _ in range(n)]
-    for (c, d), i in firsts.items():
-        closing[max(c, d)].append((slice(i[0], i[-1] + 1), slice(i[0] + 1, i[-1] + 2), c, d))
-    return tuple(map(tuple, closing))
+    rows = w.reshape(n, n)
+    gain = rows[:, :, None, None] + rows[None, None, :, :]
+    gain -= rows[:, None, :, None]
+    gain -= rows[None, :, None, :]
+    bits = _bits(n)
+    table = (~(gain > 0)).reshape(n**3, n) @ bits
+    table = table.reshape(n, n, n)
+    table &= ~bits
+    table[0] |= 1
+    return table
 
 
 def _two_optimal_orders(
@@ -164,11 +173,18 @@ def _two_optimal_orders(
     holds vertex 0) on a (positions, k) frontier of partial tours, extended
     depth-first in chunks of at most ``_CHUNK_ORDERS`` children.  Filling
     position p gives every prefix each free vertex in increasing order, so
-    the children stay lexicographic, and then tests every move whose last
-    position, max(c, d), is p; a child survives only if none of them strictly
-    improves.  Those moves are scored together, one (moves, children) block
-    per removed edge (c, d).  Filling the last position first applies the
-    canonical rule order[1] < order[n-1].
+    the children stay lexicographic.  Filling the last position first applies
+    the canonical rule order[1] < order[n-1].
+
+    A 2-change improves exactly when its two removed edges are incompatible
+    in ``_compatible``'s table, so each prefix carries one mask per vertex u:
+    the AND of the table rows of its placed edges, its last edge left out,
+    which is adjacent to the next one.  The vertices a prefix may take next
+    form one mask too: the row of its last vertex, less its placed vertices
+    and, under the gate, the members whose predecessor is not placed yet.  Its
+    set bits, unpacked in increasing order, are the children.  At the last
+    position the closing edge v->0 must pass bit 0 of the child's row v as
+    well.  Under equal weights no table is built and no mask carried.
 
     ``w`` is ``_weight_table(inst)``; callers check the enumeration cap first.
     ``gate`` lists vertex classes, each in increasing order and without
@@ -176,49 +192,74 @@ def _two_optimal_orders(
     its class.
     """
     n = inst.n
-    # Vertex v may be placed once vertex after[v] is; column n of ``used`` is always set.
-    after = np.full(n, n)
+    bits = _bits(n)
+    # Masks unpack as little-endian bytes of 8 bits each, 2**depth entries a mask.
+    little = bits.dtype.newbyteorder("<")
+    depth = (8 * bits.itemsize).bit_length() - 1
+    # A gated vertex v may be placed once the member u before it is: bit v of
+    # (placed << s) & late[s], s = v - u.  Vertices in no late[s] are never held back.
+    late: dict[int, int] = {}
     for cls in gate:
-        after[cls[1:]] = cls[:-1]
-    gated = bool((after < n).any())
-    # Under equal weights every 2-change gains exactly 0, so no move is tested.
-    closing = _closing_moves(n) if len(set(inst.weights)) > 1 else ((),) * n
+        for u, v in zip(cls, cls[1:]):
+            late[v - u] = late.get(v - u, 0) | 1 << v
+    early = (1 << n) - 1 - sum(late.values())
+    # Under equal weights every 2-change gains exactly 0, so no edge is tested.
+    if len(set(inst.weights)) > 1:
+        table = _compatible(w, n).reshape(n * n, n)
+        root = np.full((1, n), (1 << n) - 1, dtype=bits.dtype)
+    else:
+        root = None
 
-    def extend(front: np.ndarray, p: int) -> np.ndarray:
+    def extend(
+        front: np.ndarray, masks: np.ndarray | None, p: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         k = front.shape[1]
-        used = np.zeros((k, n + 1), dtype=bool)
-        used[:, n] = True
-        used.ravel()[front + np.arange(0, k * (n + 1), n + 1)] = True
-        free = ~used[:, :n]
-        if gated:
-            free &= used[:, after]
-        parent, vertex = np.divmod(np.flatnonzero(free), n)  # by parent, then vertex
+        placed = np.bitwise_or.reduce(bits.take(front), axis=0)
+        if masks is None:
+            allowed = placed ^ ((1 << n) - 1)
+        else:
+            allowed = masks.ravel().take(front[p - 1] + np.arange(0, k * n, n))
+            allowed &= ~placed
+            if p > 1:
+                # The parent's last edge is no longer its children's last.
+                rows = table.take(front[p - 2] * n + front[p - 1], axis=0)
+                rows &= masks
+                masks = rows
+        if late:
+            ready = early
+            for shift, members in late.items():
+                ready = ready | ((placed << shift) & members)
+            allowed &= ready
+        # Bit v of allowed[r] unpacks to entry r * 2**depth + v of free.
+        free = np.unpackbits(allowed.astype(little, copy=False).view(np.uint8), bitorder="little")
+        index = free.view(bool).nonzero()[0]  # by parent, then vertex
+        parent, vertex = index >> depth, index & (1 << depth) - 1
         if p == n - 1:
             keep = front[1].take(parent) < vertex
+            if masks is not None:
+                # The closing edge vertex->0 must be compatible with every edge but the first.
+                keep &= (masks.ravel().take(parent * n + vertex) & 1).astype(bool)
             parent, vertex = parent[keep], vertex[keep]
         child = np.empty((p + 1, len(parent)), dtype=np.int16)
         front.take(parent, axis=1, out=child[:p])
         child[p] = vertex
-        if not closing[p]:
-            return child
-        scaled = child * n
-        improving = np.zeros(len(parent), dtype=bool)
-        for move in closing[p]:
-            improving |= (_delta(w, child, scaled, move) > 0).any(axis=0)
-        return child.compress(~improving, axis=1)
+        if masks is None or p == n - 1:
+            return child, None
+        return child, masks.take(parent, axis=0)
 
-    def descend(front: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    def descend(front: np.ndarray, masks: np.ndarray | None, p: int) -> Iterator[np.ndarray]:
         step = max(1, _CHUNK_ORDERS // (n - p))
         for first in range(0, front.shape[1], step):
-            child = extend(front[:, first : first + step], p)
+            part = None if masks is None else masks[first : first + step]
+            child, child_masks = extend(front[:, first : first + step], part, p)
             if not child.shape[1]:
                 continue
             if p == n - 1:
                 yield child
             else:
-                yield from descend(child, p + 1)
+                yield from descend(child, child_masks, p + 1)
 
-    yield from descend(np.zeros((1, 1), dtype=np.int16), 1)
+    yield from descend(np.zeros((1, 1), dtype=np.int16), root, 1)
 
 
 def two_optimal_tours(inst: Instance, cap: int = ENUMERATION_CAP) -> Iterator[Tour]:
@@ -322,8 +363,12 @@ def build_transition_graph(inst: Instance) -> TransitionGraph:
     for m, move in enumerate(move_quadruples(n)):
         improving = np.flatnonzero(_delta(w, orders, scaled, move) > 0)
         codes.append(improving * count + table[m, improving])
-    src, dst = np.divmod(np.sort(np.concatenate(codes)), count)
-    return TransitionGraph(n=n, orders=orders.T, arcs=np.stack([src, dst], axis=1))
+    code = np.concatenate(codes)
+    code.sort()
+    # Split straight into the (m, 2) array, with no column temporaries or stacked copy.
+    arcs = np.empty((len(code), 2), dtype=code.dtype)
+    np.divmod(code, count, out=(arcs[:, 0], arcs[:, 1]))
+    return TransitionGraph(n=n, orders=orders.T, arcs=arcs)
 
 
 @dataclass(frozen=True)

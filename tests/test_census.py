@@ -31,6 +31,8 @@ from twooptlab.core import Instance, all_pairs, pair_count, pair_index
 from twooptlab.reduction import BaseGraph, build_reduction_instance
 from twooptlab.rng import substream
 
+from oracles import held_karp
+
 # Two-sided level of the statistical checks, and its normal quantile (about 4.9).
 ALPHA = 1e-6
 Z_ALPHA = NormalDist().inv_cdf(1 - ALPHA / 2)
@@ -195,8 +197,8 @@ def test_chunk_boundaries_keep_the_full_scan_order(chunk, monkeypatch):
 
 def test_census_memory_is_bounded_by_the_chunk():
     # The ungated search keeps every tour of this one-class instance, which
-    # the census itself settles with a single order.  Measured 0.65 MB
-    # chunked; the whole n = 9 frontier at once takes 3.9 MB.
+    # the census itself settles with a single order.  Measured 0.60 MB
+    # chunked; the whole n = 9 frontier at once takes 4.3 MB.
     tracemalloc.start()
     try:
         blocks = _orders(constant_instance(9))
@@ -223,9 +225,9 @@ _C4 = BaseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def test_scored_search_memory_is_bounded_by_the_chunk():
-    # Every order of this instance is 2-optimal, so each child is scored against
-    # every move closing at its position, 12 at the last one.  Measured 1.1 MB
-    # with the moves of a position scored as one block.
+    # Every order of this instance is 2-optimal, so every child is kept with its
+    # row of n edge masks until the last position.  Measured 0.92 MB with uint16
+    # masks.
     tracemalloc.start()
     try:
         blocks = _orders(build_reduction_instance(_K3, 6))
@@ -253,6 +255,29 @@ def test_points_in_convex_position_have_one_two_optimal_tour(n):
     inst, hull = _convex_instance(n)
     assert [t.order for t in two_optimal_tours(inst, cap=12)] == [hull]
     assert count_two_optimal_exact(inst, cap=12) == 1
+
+
+def _twin_free_exact_instance(n, seed):
+    rng = substream(seed, "twin-free-exact")
+    weights = tuple(int(x) for x in rng.integers(0, 10**6, pair_count(n)))
+    inst = Instance(n=n, weights=weights, mode="exact")
+    assert _classes(inst) == [[v] for v in range(n)]
+    return inst
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_shortest_listed_tour_is_the_held_karp_optimum(n):
+    # An optimal tour has no improving 2-change, so it is on the census list.
+    # Float tour lengths sum n terms in [0, 1] in another order than Held-Karp,
+    # so they differ by at most about n**2 * 2**-53 < 1e-13; integers agree exactly.
+    for seed in range(2):
+        for inst in (random_instance(n, seed=seed), _twin_free_exact_instance(n, seed)):
+            listed = min(tour_length(inst, t) for t in two_optimal_tours(inst, cap=12))
+            optimum = held_karp(np.array(inst.weight_matrix()))
+            if inst.mode == "exact":
+                assert listed == optimum
+            else:
+                assert listed == pytest.approx(optimum, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -347,20 +372,30 @@ def test_census_refuses_past_the_cap_before_any_set_up(monkeypatch):
         count_two_optimal_exact(constant_instance(200), cap=12)
 
 
-def test_closing_blocks_are_built_once_per_n_and_immutable():
-    for n in range(4, 13):
-        closing = census._closing_moves(n)
-        assert census._closing_moves(n) is closing
-        listed = []
-        for p, blocks in enumerate(closing):
-            for rows_a, rows_b, c, d in blocks:
-                assert max(c, d) == p
-                listed += [(a, b, c, d) for a, b in zip(range(n)[rows_a], range(n)[rows_b])]
-        assert sorted(listed) == sorted(core.move_quadruples(n))
-    with pytest.raises(TypeError):
-        closing[n - 1] = ()
-    with pytest.raises(TypeError):
-        closing[n - 1][0] = (slice(0), slice(0), 0, 0)
+@pytest.mark.parametrize("n", range(4, 10))
+def test_compatible_table_holds_the_scalar_test_of_every_edge_pair(n):
+    # Bit v of [a, b, u] is the scalar test that edge u->v may follow a->b,
+    # with the diagonal cleared and then bit 0 of every [0, b, u] set.
+    rng = substream(n, "compatible-table")
+    tied = tuple(int(x) for x in rng.integers(0, 3, pair_count(n)))
+    large = tuple(2**61 + int(x) for x in rng.integers(0, 5, pair_count(n)))
+    for inst in (
+        random_instance(n, seed=n),
+        Instance(n=n, weights=tied, mode="exact"),
+        Instance(n=n, weights=large, mode="exact"),
+    ):
+        table = census._compatible(census._weight_table(inst), n)
+        assert table.shape == (n, n, n)
+        assert table.dtype == (np.uint8 if n <= 8 else np.uint16)
+        w = inst.weight_matrix()
+        for a, b, u, v in np.ndindex(n, n, n, n):
+            if a == 0 and v == 0:
+                expected = True
+            elif u == v:
+                expected = False
+            else:
+                expected = not (((w[a][b] + w[u][v]) - w[a][u]) - w[b][v] > 0)
+            assert (int(table[a, b, u]) >> v & 1) == expected, (inst.mode, a, b, u, v)
 
 
 def test_float_twins_count_the_canonical_members_of_each_orbit():
